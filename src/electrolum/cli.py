@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, ratemodel
+from .dissipators import gate_open
 from .hilbert import SystemParams
 from .linalg import LinalgError
 from .pipeline import MU_MODES, build_system
@@ -298,10 +299,9 @@ def _analytic_fluxes(system):
     """Closed-form fluxes in whichever bias regime the gates put the system."""
     p = system.params
     gamma = 0.5 * (p.gamma_in + p.gamma_out)
-    direct_injection_open = (
-        p.mu >= system.basis.omega_ground + system.basis.omega_minus - 1e-12
-    )
-    if direct_injection_open:
+    # the same gate that opens the injection channel |s,0> -> |->
+    basis = system.basis
+    if gate_open(p.mu - basis.energies[basis.index_minus]):
         return ratemodel.analytic_el(p.eta, gamma, p.gamma_cav)
     return ratemodel.analytic_gse(p.eta, gamma, p.gamma_cav)
 

@@ -47,13 +47,15 @@ BATH_OUT = "electron_out"
 class JumpChannel:
     """One dressed transition |to><from| with its golden-rule rate.
 
+    The jump operator is the rank-one |to><from| between two dressed
+    eigenstates by construction, which is what makes the master
+    equation exactly secular (see :mod:`electrolum.liouvillian`).
     ``freq`` is the system energy drop E_from - E_to (positive for
     emission; negative for injection channels, which pump the system).
     """
 
     from_index: int
     to_index: int
-    op: np.ndarray
     rate: float
     freq: float
     bath: str
@@ -72,12 +74,9 @@ def _dressed_elements(op: np.ndarray, basis: DressedBasis) -> np.ndarray:
 
 def _make_channel(basis, i, j, weight, bare_rate, bath) -> JumpChannel:
     """Channel j -> i with rate bare_rate * weight (weight = |<i|op|j>|^2)."""
-    vi = basis.states[:, i]
-    vj = basis.states[:, j]
     return JumpChannel(
         from_index=int(j),
         to_index=int(i),
-        op=np.outer(vi, vj.conj()),
         rate=float(bare_rate * weight),
         freq=float(basis.energies[j] - basis.energies[i]),
         bath=bath,

@@ -1,10 +1,10 @@
 """Dense complex linear algebra used by all other modules.
 
 Matrices are plain ``numpy.ndarray`` of ``complex128`` in C (row-major)
-order; no wrapper types.  The three entry points wrap LAPACK through
+order; no wrapper types.  The two entry points wrap LAPACK through
 numpy/scipy but enforce the contracts the rest of the package relies on:
-Hermiticity checks before ``eigh``, residual checks after linear solves,
-and a kernel-dimension check before accepting a null vector.
+a Hermiticity check before ``eigh`` and a kernel-dimension check before
+accepting a null vector.
 
 Tolerances are relative to the input scale with an absolute floor of
 1e-14, so the contracts behave the same for rate-scaled (~1e-6) and
@@ -27,17 +27,6 @@ class LinalgError(ValueError):
 
 class NonHermitianError(LinalgError):
     """Input promised to be Hermitian is not (or is not square)."""
-
-
-class SingularMatrixError(LinalgError):
-    """Linear system is singular or too ill-conditioned to trust.
-
-    Carries the estimated condition number in ``condition``.
-    """
-
-    def __init__(self, message, condition=np.inf):
-        super().__init__(message)
-        self.condition = condition
 
 
 class NullSpaceError(LinalgError):
@@ -76,31 +65,6 @@ def eig_hermitian(m, rtol: float = 1e-12):
         )
     vals, vecs = np.linalg.eigh(a)
     return vals, vecs
-
-
-def solve_linear(a, b, rtol: float = 1e-10):
-    """Solve ``A x = b`` and verify the residual.
-
-    Raises SingularMatrixError (carrying the condition estimate) when the
-    factorization fails outright or the residual exceeds
-    ``rtol * ||b||`` (floored at 1e-14 for b = 0).
-    """
-    a = _as_square_matrix(a)
-    bvec = np.asarray(b, dtype=complex)
-    try:
-        x = np.linalg.solve(a, bvec)
-    except np.linalg.LinAlgError as err:
-        raise SingularMatrixError(f"singular system: {err}") from err
-    residual = float(np.linalg.norm(a @ x - bvec))
-    bound = max(rtol * float(np.linalg.norm(bvec)), ABS_FLOOR)
-    if not np.isfinite(residual) or residual > bound:
-        cond = float(np.linalg.cond(a))
-        raise SingularMatrixError(
-            f"solve residual {residual:.3e} exceeds {bound:.3e} "
-            f"(condition estimate {cond:.3e})",
-            condition=cond,
-        )
-    return x
 
 
 def null_vector(a, rtol: float = 1e-9, kernel_gap: float = 1e3):

@@ -1,9 +1,19 @@
-"""Master-equation generator, steady state, and right-hand-side evaluation.
+"""Master-equation generator in its exact secular block form, and the steady state.
 
-Operators are vectorized by column stacking: vec(rho) stacks the columns
-of rho, so vec(A rho B) = (B^T kron A) vec(rho).  This convention is
-fixed package-wide; the round-trip helpers live here so every module
-agrees on it.
+Every channel is a rank-one jump |to><from| between two dressed
+eigenstates, and the Hamiltonian is diagonal in that basis.  For such a
+generator the Lindblad equation splits exactly, with no approximation:
+
+* the populations p_k = <k|rho|k> obey the Pauli rate equation
+  dp/dt = (W - diag(Gamma)) p, with W[to, from] the summed rate of the
+  channels from -> to and Gamma_k = sum_to W[to, k] the total out-rate
+  of level k;
+* each coherence rho_ij (i != j) evolves on its own,
+  d rho_ij/dt = (-i (E_i - E_j) - (Gamma_i + Gamma_j)/2) rho_ij.
+
+So the stationary state is diagonal in the dressed basis with the Pauli
+kernel as populations, and no D^2 x D^2 superoperator is ever needed
+(Breuer & Petruccione, The Theory of Open Quantum Systems, sec. 3.3).
 """
 
 from __future__ import annotations
@@ -15,138 +25,70 @@ import numpy as np
 from .linalg import NullSpaceError, null_vector
 
 
-def vec(rho: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(rho, dtype=complex).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    n = int(round(np.sqrt(v.size)))
-    if n * n != v.size:
-        raise ValueError(f"vector of length {v.size} is not a stacked square matrix")
-    return np.asarray(v, dtype=complex).reshape((n, n), order="F")
-
-
 @dataclass(frozen=True)
-class Superoperator:
-    """Dense generator acting on column-stacked operators."""
+class SecularGenerator:
+    """Lindblad generator of rank-one dressed channels, in block form.
 
-    matrix: np.ndarray
-    dim: int  # Hilbert-space dimension; matrix is dim^2 x dim^2
-
-    def __matmul__(self, v):
-        return self.matrix @ v
-
-
-def build_liouvillian(h: np.ndarray, channels) -> Superoperator:
-    """L(rho) = -i[H, rho] + sum_k rate_k D[A_k](rho) as a dense superoperator.
-
-    D[A](rho) = A rho A^dagger - (A^dagger A rho + rho A^dagger A) / 2.
-    The jump part is assembled in one matrix product using the rank-one
-    structure of the channel operators.
+    ``states`` holds the dressed eigenvectors as columns in the bare
+    basis; ``rates[to, from]`` is the summed rate of the channels
+    from -> to; ``out_rates[k]`` is the total out-rate of level k, which
+    also sets the decay of every coherence involving k.
     """
-    h = np.asarray(h, dtype=complex)
-    dim = h.shape[0]
-    eye = np.eye(dim, dtype=complex)
-    mat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
 
-    rank_one = []
-    anticomm = np.zeros((dim, dim), dtype=complex)
+    states: np.ndarray
+    rates: np.ndarray
+    out_rates: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.rates.shape[0]
+
+    @property
+    def pauli_matrix(self) -> np.ndarray:
+        """M with dp/dt = M p over the dressed populations; columns sum to zero."""
+        return self.rates - np.diag(self.out_rates)
+
+    def populations(self, rho: np.ndarray) -> np.ndarray:
+        """<k| rho |k> for every dressed level k, rho in the bare basis."""
+        v = self.states
+        return np.real(np.einsum("ik,ij,jk->k", v.conj(), rho, v))
+
+
+def build_liouvillian(basis, channels) -> SecularGenerator:
+    """Pauli rate matrix and level out-rates of the channels over the dressed basis."""
+    rates = np.zeros((basis.dim, basis.dim))
     for ch in channels:
-        a = np.asarray(ch.op, dtype=complex)
-        factors = _rank_one_factors(a)
-        if factors is None:
-            # generic operator: assemble its dissipator directly
-            mat += ch.rate * np.kron(a.conj(), a)
-            anticomm += ch.rate * (a.conj().T @ a)
-        else:
-            vi, vj, s = factors
-            rank_one.append((vi, vj, ch.rate * s * s))
-            anticomm += ch.rate * s * s * np.outer(vj, vj.conj())
-
-    if rank_one:
-        # A = s |v_i><v_j| makes conj(A) kron A an outer product of
-        # kron(conj(v_i), v_i) and kron(conj(v_j), v_j): the whole jump
-        # part collapses into one matrix product.
-        w_to = np.stack([np.kron(vi.conj(), vi) for vi, _, _ in rank_one], axis=1)
-        w_from = np.stack([np.kron(vj.conj(), vj) for _, vj, _ in rank_one], axis=1)
-        rates = np.array([r for _, _, r in rank_one])
-        mat += (w_to * rates) @ w_from.conj().T
-
-    if channels:
-        mat -= 0.5 * (np.kron(eye, anticomm) + np.kron(anticomm.T, eye))
-
-    return Superoperator(matrix=mat, dim=dim)
-
-
-def _rank_one_factors(a: np.ndarray, rtol: float = 1e-12):
-    """Unit vectors (vi, vj) and scale s with a = s |vi><vj|, or None."""
-    col_norms = np.linalg.norm(a, axis=0)
-    c = int(np.argmax(col_norms))
-    if col_norms[c] == 0.0:
-        return None
-    vi = a[:, c] / col_norms[c]
-    row = vi.conj() @ a
-    s = float(np.linalg.norm(row))
-    if s == 0.0:
-        return None
-    vj = row.conj() / s
-    if np.linalg.norm(a - s * np.outer(vi, vj.conj())) > rtol * max(s, 1.0):
-        return None
-    return vi, vj, s
-
-
-def lindblad_rhs(h: np.ndarray, channels, rho: np.ndarray) -> np.ndarray:
-    """Direct evaluation of the master-equation right-hand side.
-
-    Independent of the superoperator assembly; kept as the reference
-    implementation that ``apply_liouvillian`` is tested against.
-    """
-    drho = -1j * (h @ rho - rho @ h)
-    for ch in channels:
-        a = ch.op
-        ad = a.conj().T
-        ada = ad @ a
-        drho += ch.rate * (a @ rho @ ad - 0.5 * (ada @ rho + rho @ ada))
-    return drho
-
-
-def apply_liouvillian(lv: Superoperator, rho: np.ndarray) -> np.ndarray:
-    """L(rho) through the superoperator-vector product."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (lv.dim, lv.dim):
-        raise ValueError(
-            f"density operator shape {rho.shape} does not match dimension {lv.dim}"
-        )
-    return unvec(lv.matrix @ vec(rho))
+        rates[ch.to_index, ch.from_index] += ch.rate
+    return SecularGenerator(states=basis.states, rates=rates,
+                            out_rates=rates.sum(axis=0))
 
 
 class SteadyStateError(NullSpaceError):
     """The generator has no unique stationary state."""
 
 
-def steady_state(lv: Superoperator) -> np.ndarray:
-    """Unique stationary density operator of the generator.
+def steady_state(lv: SecularGenerator) -> np.ndarray:
+    """Unique stationary density operator of the generator, in the bare basis.
 
-    Kernel vector of the superoperator (with the one-dimensionality
-    check), Hermitized and trace-normalized to scrub the numerical
-    asymmetry of the kernel extraction.  A degenerate kernel (for
-    example with the electron channels switched off) raises
+    The populations are the kernel of the Pauli matrix; a one-dimensional
+    kernel leaves at most one level with zero out-rate, so every
+    coherence decays and rho_ss = V diag(p) V^dagger.  A degenerate
+    kernel (for example with the electron channels switched off) raises
     SteadyStateError.
     """
     try:
-        v = null_vector(lv.matrix)
+        v = null_vector(lv.pauli_matrix)
     except NullSpaceError as err:
         raise SteadyStateError(
             f"no unique stationary state: {err} "
             "(is the channel graph connected, e.g. gamma_in > 0?)"
         ) from err
-    rho = unvec(v)
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho)
-    if abs(tr) < 1e-12:
+    p = np.real(v)
+    total = p.sum()
+    if abs(total) < 1e-12:
         raise SteadyStateError("kernel vector is traceless; not a state")
-    return rho / tr
+    rho = (lv.states * (p / total)) @ lv.states.conj().T
+    return 0.5 * (rho + rho.conj().T)
 
 
 def check_density_operator(rho: np.ndarray, herm_tol=1e-10, trace_tol=1e-10,

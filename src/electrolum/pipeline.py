@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dissipators, ratemodel, spectrum as spectrum_mod
 from .hilbert import ModelSpace, SystemParams, build_space
-from .liouvillian import Superoperator, build_liouvillian, steady_state
+from .liouvillian import SecularGenerator, build_liouvillian, steady_state
 from .rabi import DressedBasis, dressed_basis, hamiltonian
 
 MU_MODES = ("absolute", "omega_G", "omega_G_plus_omega_plus")
@@ -56,7 +56,7 @@ class DressedSystem:
     h: np.ndarray
     basis: DressedBasis
     channels: list
-    lv: Superoperator
+    lv: SecularGenerator
     rho_ss: np.ndarray
 
     @property
@@ -74,11 +74,9 @@ class DressedSystem:
     def emission_spectrum(self, grid=None) -> spectrum_mod.Spectrum:
         if grid is None:
             grid = spectrum_mod.default_grid()
-        x_minus, x_plus = self.x_pm
-        spec = spectrum_mod.emission_spectrum(
-            self.lv, self.rho_ss, x_minus, x_plus, grid, self.params.gamma_cav
-        )
+        spec = spectrum_mod.emission_spectrum(self.lv, self.rho_ss, self.channels, grid)
         spec.metadata.update(
+            gamma_cav=self.params.gamma_cav,
             mu=self.params.mu,
             eta=self.params.eta,
             n_max=self.space.n_max,
@@ -96,7 +94,7 @@ def build_system(params: SystemParams, n_max: int = DEFAULT_N_MAX,
     mu = resolve_mu(mu_mode, basis, absolute=params.mu)
     params = replace(params, mu=mu)
     channels = dissipators.all_channels(basis, space, params)
-    lv = build_liouvillian(h, channels)
+    lv = build_liouvillian(basis, channels)
     rho_ss = steady_state(lv)
     return DressedSystem(
         params=params,

@@ -5,18 +5,19 @@ same generator as the state, so its one-sided Fourier transform is a
 resolvent of the Liouvillian:
 
     S(w) = (gamma_cav / pi) * Re Tr[ X+ . R(w) . (X- rho_ss) ],
-    R(w) = -(L - i w)^(-1) on the complement of the stationary mode,
+    R(w) = -(L - i w)^(-1),
 
-equivalent to the two-sided transform because C(-tau) = C(tau)*.  The
-component of X- rho_ss along the stationary mode is projected out before
-the solve; the corresponding coherent term Tr[X+ rho]Tr[X- rho] is
-discarded (the drive here is incoherent and it is < 1e-20).
-
-The generator is Schur-factorized once (L = Q T Q^dagger), after which
-each grid point costs one triangular solve, so dense grids are cheap.
-Spectra span many decades; the frequency-domain route has exact line
-shapes with no windowing artifacts, and the time-domain transform is
-kept only as a test oracle.
+equivalent to the two-sided transform because C(-tau) = C(tau)*.  In the
+dressed basis rho_ss = diag(p) and X- = sum_{E_j > E_i} x_ij |i><j|, so
+X- rho_ss is a sum of coherences x_ij p_j |i><j|, each of which the
+secular generator damps on its own at (Gamma_i + Gamma_j)/2 while it
+rotates at E_j - E_i.  The resolvent is then exact in closed form: one
+Lorentzian per cavity channel j -> i, of weight gamma_cav |x_ij|^2 p_j
+(the channel's rate times its upper population).  X- rho_ss has no
+stationary component, so the coherent term Tr[X+ rho]Tr[X- rho] is
+exactly zero here.  Lines are exact at every grid point, with no
+windowing artifacts; the time-domain transform is kept only as a test
+oracle.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .dissipators import BATH_CAVITY
-from .liouvillian import Superoperator, vec
+from .liouvillian import SecularGenerator, build_liouvillian
 from .rabi import DressedBasis
 
 DEFAULT_GRID = (0.5, 1.5, 4001)
@@ -64,46 +64,25 @@ def default_grid(lo: float = 0.5, hi: float = 1.5, points: int = 4001) -> np.nda
     return np.linspace(lo, hi, points)
 
 
-def emission_spectrum(lv: Superoperator, rho_ss: np.ndarray, x_minus: np.ndarray,
-                      x_plus: np.ndarray, grid, gamma_cav: float) -> Spectrum:
-    """S(w) over the grid; one linear solve of (L - i w) per point.
+def emission_spectrum(lv: SecularGenerator, rho_ss: np.ndarray, channels,
+                      grid) -> Spectrum:
+    """S(w) over the grid: one Lorentzian per cavity channel.
 
-    Points where that solve is singular (w hitting an undamped frequency)
-    are recorded in metadata["failed_points"] and set to NaN; neighbors
-    are unaffected.
+    Channel from -> to emits rate * p_from photons per unit time at
+    freq = E_from - E_to, with the half-width (Gamma_from + Gamma_to)/2
+    of the coherence it leaves behind.  Zero-rate channels carry no
+    weight and are skipped, so no term is ever 0/0.
     """
     omegas = np.asarray(grid, dtype=float)
-    source = vec(x_minus @ rho_ss)
-    # deflate the stationary mode: its left eigenvector is the trace
-    source = source - vec(rho_ss) * np.trace(x_minus @ rho_ss)
-
-    t, q = sla.schur(lv.matrix, output="complex")
-    w = q.conj().T @ source
-    # Tr[X+ M] = vec(X+^T)^T vec(M); fold the Q rotation into the probe
-    probe = q.T @ vec(x_plus.T)
-
-    t_work = t.copy()
-    diag_idx = np.diag_indices_from(t_work)
-    t_diag = t.diagonal().copy()
-
-    values = np.empty_like(omegas)
-    failed = []
-    for k, omega in enumerate(omegas):
-        t_work[diag_idx] = t_diag - 1j * omega
-        try:
-            with np.errstate(all="raise"):
-                y = sla.solve_triangular(t_work, -w, lower=False)
-        except (FloatingPointError, np.linalg.LinAlgError, sla.LinAlgError, ValueError):
-            failed.append(int(k))
-            values[k] = np.nan
+    populations = lv.populations(rho_ss)
+    values = np.zeros_like(omegas)
+    for ch in channels:
+        if ch.bath != BATH_CAVITY or ch.rate == 0.0:
             continue
-        values[k] = (gamma_cav / np.pi) * np.real(probe @ y)
-
-    metadata = {"gamma_cav": float(gamma_cav)}
-    if failed:
-        warnings.warn(f"resolvent solve failed at {len(failed)} grid point(s)")
-        metadata["failed_points"] = failed
-    return Spectrum(omegas=omegas, values=values, metadata=metadata)
+        width = 0.5 * (lv.out_rates[ch.from_index] + lv.out_rates[ch.to_index])
+        weight = ch.rate * populations[ch.from_index] / np.pi
+        values += weight * width / (width**2 + (omegas - ch.freq) ** 2)
+    return Spectrum(omegas=omegas, values=values)
 
 
 def integrate_peak(spec: Spectrum, center: float, halfwidth: float) -> float:
@@ -166,16 +145,9 @@ def default_windows(basis: DressedBasis, grid_spacing: float | None = None):
     }
 
 
-def _outgoing_rates(channels, dim: int) -> np.ndarray:
-    rates = np.zeros(dim)
-    for ch in channels:
-        rates[ch.from_index] += ch.rate
-    return rates
-
-
 def line_halfwidths(basis: DressedBasis, channels):
     """Lorentzian half-widths of the three lines: mean of the two level widths."""
-    out = _outgoing_rates(channels, basis.dim)
+    out = build_liouvillian(basis, channels).out_rates
     s0, s1 = basis.s_levels[0], basis.s_levels[1]
     g = basis.index_ground
     return {

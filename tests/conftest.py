@@ -1,8 +1,10 @@
 import sys
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+import dense_oracle
 from electrolum import SystemParams, build_system
 
 
@@ -49,3 +51,32 @@ def low_bias_spectrum(low_bias_system):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+class DenseGenerators:
+    """Dense oracle generator of a built system, each built once.
+
+    Keyed by the system object, which the entry keeps alive so the key
+    cannot be reused; only the most recent few are kept, because one
+    dense generator at n_max = 12 takes tens of megabytes.
+    """
+
+    def __init__(self, maxsize=4):
+        self.maxsize = maxsize
+        self._entries = OrderedDict()
+
+    def __call__(self, system):
+        key = id(system)
+        if key in self._entries:
+            self._entries.move_to_end(key)
+        else:
+            self._entries[key] = (system, dense_oracle.system_liouvillian(system))
+            if len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+        return self._entries[key][1]
+
+
+@pytest.fixture(scope="session")
+def dense_generator():
+    """Callable system -> dense D^2 x D^2 generator, cached per system."""
+    return DenseGenerators()

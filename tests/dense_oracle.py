@@ -1,0 +1,119 @@
+"""Dense Lindblad generator: the reference the secular production path is tested against.
+
+Everything here works on the full D^2 x D^2 superoperator in the bare
+basis and makes no use of the block structure the package exploits.
+Each jump operator is rebuilt from the columns of ``basis.states`` as
+|to><from|; nothing is read from ``SecularGenerator``.
+
+Operators are vectorized by column stacking: vec(rho) stacks the columns
+of rho, so vec(A rho B) = (B^T kron A) vec(rho).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.linalg as sla
+
+from electrolum.liouvillian import SteadyStateError
+from electrolum.linalg import NullSpaceError, null_vector
+
+
+def vec(rho: np.ndarray) -> np.ndarray:
+    """Column-stacking vectorization."""
+    return np.asarray(rho, dtype=complex).reshape(-1, order="F")
+
+
+def unvec(v: np.ndarray) -> np.ndarray:
+    n = int(round(np.sqrt(v.size)))
+    if n * n != v.size:
+        raise ValueError(f"vector of length {v.size} is not a stacked square matrix")
+    return np.asarray(v, dtype=complex).reshape((n, n), order="F")
+
+
+def jump_operator(basis, ch) -> np.ndarray:
+    """|to><from| of one channel, in the bare basis."""
+    return np.outer(basis.states[:, ch.to_index], basis.states[:, ch.from_index].conj())
+
+
+def liouvillian(h: np.ndarray, basis, channels) -> np.ndarray:
+    """L(rho) = -i[H, rho] + sum_k rate_k D[A_k](rho) as a dense superoperator.
+
+    D[A](rho) = A rho A^dagger - (A^dagger A rho + rho A^dagger A) / 2.
+    With A = |v_to><v_from|, conj(A) kron A is the outer product of
+    kron(conj(v_to), v_to) and kron(conj(v_from), v_from), so the jump
+    part collapses into one matrix product.
+    """
+    h = np.asarray(h, dtype=complex)
+    dim = h.shape[0]
+    eye = np.eye(dim, dtype=complex)
+    mat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    if not channels:
+        return mat
+    rates = np.array([ch.rate for ch in channels])
+    v_to = basis.states[:, [ch.to_index for ch in channels]]
+    v_from = basis.states[:, [ch.from_index for ch in channels]]
+    w_to = np.stack([np.kron(u.conj(), u) for u in v_to.T], axis=1)
+    w_from = np.stack([np.kron(u.conj(), u) for u in v_from.T], axis=1)
+    mat += (w_to * rates) @ w_from.conj().T
+    # sum_k rate_k A_k^dagger A_k = sum_k rate_k |v_from><v_from|
+    anticomm = (v_from * rates) @ v_from.conj().T
+    mat -= 0.5 * (np.kron(eye, anticomm) + np.kron(anticomm.T, eye))
+    return mat
+
+
+def system_liouvillian(system) -> np.ndarray:
+    return liouvillian(system.h, system.basis, system.channels)
+
+
+def apply(mat: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """L(rho) through the superoperator-vector product."""
+    rho = np.asarray(rho, dtype=complex)
+    dim = int(round(np.sqrt(mat.shape[0])))
+    if rho.shape != (dim, dim):
+        raise ValueError(f"density operator shape {rho.shape} does not match dimension {dim}")
+    return unvec(mat @ vec(rho))
+
+
+def lindblad_rhs(h: np.ndarray, basis, channels, rho: np.ndarray) -> np.ndarray:
+    """Direct evaluation of the master-equation right-hand side, channel by channel."""
+    drho = -1j * (h @ rho - rho @ h)
+    for ch in channels:
+        a = jump_operator(basis, ch)
+        ad = a.conj().T
+        ada = ad @ a
+        drho += ch.rate * (a @ rho @ ad - 0.5 * (ada @ rho + rho @ ada))
+    return drho
+
+
+def steady_state(mat: np.ndarray) -> np.ndarray:
+    """Kernel of the dense generator, Hermitized and trace-normalized."""
+    try:
+        v = null_vector(mat)
+    except NullSpaceError as err:
+        raise SteadyStateError(f"no unique stationary state: {err}") from err
+    rho = unvec(v)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho)
+
+
+def emission_spectrum(mat: np.ndarray, rho_ss: np.ndarray, x_minus: np.ndarray,
+                      x_plus: np.ndarray, grid, gamma_cav: float) -> np.ndarray:
+    """S(w) = (gamma_cav/pi) Re Tr[X+ R(w) (X- rho_ss)], R(w) = -(L - i w)^(-1).
+
+    The stationary mode is deflated from the source; the generator is
+    Schur-factorized once, then each grid point is one triangular solve.
+    """
+    omegas = np.asarray(grid, dtype=float)
+    source = vec(x_minus @ rho_ss)
+    source = source - vec(rho_ss) * np.trace(x_minus @ rho_ss)
+    t, q = sla.schur(mat, output="complex")
+    w = q.conj().T @ source
+    # Tr[X+ M] = vec(X+^T)^T vec(M); fold the Q rotation into the probe
+    probe = q.T @ vec(x_plus.T)
+    t_diag = t.diagonal().copy()
+    values = np.empty_like(omegas)
+    for k, omega in enumerate(omegas):
+        t[np.diag_indices_from(t)] = t_diag - 1j * omega
+        y = sla.solve_triangular(t, -w, lower=False)
+        values[k] = (gamma_cav / np.pi) * np.real(probe @ y)
+    return values

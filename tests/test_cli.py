@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from electrolum import SystemParams, build_space, build_system
 from electrolum.cli import (
     ConfigError,
     load_table,
@@ -12,6 +13,9 @@ from electrolum.cli import (
     run_sweep,
     validate_config,
 )
+from electrolum.dissipators import find_channel
+from electrolum.rabi import dressed_basis, hamiltonian
+from electrolum.ratemodel import analytic_el
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -178,6 +182,25 @@ class TestRunSweep:
         _, header, data = load_table(run_sweep(config, tmp_path))
         assert header[0] == "mu"
         assert data[:, 0] == approx([-0.01, 0.1])
+
+    def test_analytic_regime_follows_injection_gate(self, tmp_path):
+        # just below the |s,0> -> |-> threshold, inside the gate tolerance:
+        # the channel is open, so the closed forms must be the high-bias ones
+        space = build_space(3)
+        basis = dressed_basis(hamiltonian(SystemParams.from_eta(0.1), space), space)
+        mu = float(basis.energies[basis.index_minus]) - 5e-10
+        config = validate_config({
+            "eta": 0.1,
+            "n_max": 3,
+            "sweep": {"variable": "mu", "values": [mu]},
+            "methods": {"spectrum": False, "analytic": True},
+        })
+        system = build_system(config.params(mu=mu), n_max=3, mu_mode="absolute")
+        assert find_channel(system.channels, system.basis,
+                            basis.s_levels[0], basis.index_minus) > 0.0
+        _, _, data = load_table(run_sweep(config, tmp_path))
+        expected = analytic_el(0.1, config.gamma_in, config.gamma_cav)
+        assert list(data[0, 1:]) == list(expected)
 
     def test_sweep_requires_sweep_block(self, tmp_path):
         config = validate_config({"eta": 0.1})

@@ -54,12 +54,15 @@ class TestCavityChannels:
             assert ch.rate >= 0
 
     def test_channel_operator_pattern(self):
+        # channel j -> i is the dressed element <i|X|j> of the bare quadrature
         basis, space, _ = make_basis(0.1)
+        v = basis.states
+        x = quadrature(space)
         for ch in channels_cavity(basis, space, 7e-4)[:10]:
-            dressed = basis.states.conj().T @ ch.op @ basis.states
-            expected = np.zeros_like(dressed)
-            expected[ch.to_index, ch.from_index] = 1.0
-            assert np.max(np.abs(dressed - expected)) < 1e-12
+            element = v[:, ch.to_index].conj() @ x @ v[:, ch.from_index]
+            assert ch.rate == approx(7e-4 * abs(element) ** 2, rel=1e-12)
+            assert ch.freq == approx(basis.energies[ch.from_index]
+                                     - basis.energies[ch.to_index], abs=1e-15)
 
 
 class TestExtractionChannels:

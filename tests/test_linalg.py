@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from pytest import approx
 from scipy.integrate import solve_ivp
 
 from electrolum.linalg import (
     NonHermitianError,
     NullSpaceError,
-    SingularMatrixError,
     eig_hermitian,
     null_vector,
-    solve_linear,
 )
 
 
@@ -56,37 +52,6 @@ class TestEigHermitian:
         assert rel < 1e-9
         assert np.all(np.diff(vals) >= 0)
         assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(dim))) < 1e-10
-
-
-class TestSolveLinear:
-    def test_identity(self, rng):
-        b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        assert solve_linear(np.eye(5), b) == approx(b)
-
-    def test_scaling(self):
-        assert solve_linear(2 * np.eye(2), np.array([1.0, 1.0])) == approx([0.5, 0.5])
-
-    def test_back_substitution(self):
-        a = np.array([[1, 1], [0, 1]], dtype=complex)
-        assert solve_linear(a, np.array([2.0, 1.0])) == approx([1.0, 1.0])
-
-    def test_singular_raises_with_condition(self):
-        a = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(SingularMatrixError) as excinfo:
-            solve_linear(a, np.array([1.0, 0.0]))
-        assert excinfo.value.condition > 1e12
-
-    @given(dim=st.integers(2, 30), seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_residual_on_well_conditioned(self, dim, seed):
-        rng = np.random.default_rng(seed)
-        # unitary times positive diagonal: condition number <= 100
-        q, _ = np.linalg.qr(rng.standard_normal((dim, dim))
-                            + 1j * rng.standard_normal((dim, dim)))
-        a = q @ np.diag(rng.uniform(0.1, 10.0, dim)) @ q.conj().T
-        b = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        x = solve_linear(a, b)
-        assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 class TestNullVector:

@@ -5,19 +5,15 @@ import pytest
 import scipy.linalg as sla
 from pytest import approx
 
+import dense_oracle
 from electrolum import SystemParams, build_space, build_system
 from electrolum.dissipators import JumpChannel, channels_cavity
 from electrolum.hilbert import number_photon
 from electrolum.liouvillian import (
     SteadyStateError,
-    Superoperator,
-    apply_liouvillian,
     build_liouvillian,
     check_density_operator,
-    lindblad_rhs,
     steady_state,
-    unvec,
-    vec,
 )
 from electrolum.rabi import dressed_basis, hamiltonian
 from electrolum.spectrum import quadrature_moment
@@ -29,86 +25,120 @@ def random_density(dim, rng):
     return rho / np.trace(rho)
 
 
-def toy_channel(dim, i, j, rate):
-    op = np.zeros((dim, dim), dtype=complex)
-    op[i, j] = 1.0
-    return JumpChannel(from_index=j, to_index=i, op=op, rate=rate, freq=1.0,
-                       bath="cavity")
+def small_basis(n_max=2, eta=0.1):
+    space = build_space(n_max)
+    h = hamiltonian(SystemParams.from_eta(eta), space)
+    return h, dressed_basis(h, space), space
+
+
+def dressed(basis, rho):
+    """rho in the dressed basis."""
+    return basis.states.conj().T @ rho @ basis.states
 
 
 class TestGenerator:
     def test_stationary_eigenprojector_without_channels(self):
-        h = np.diag([0.0, 0.3, 1.1]).astype(complex)
-        lv = build_liouvillian(h, [])
-        rho = np.diag([0.0, 1.0, 0.0]).astype(complex)
-        assert np.max(np.abs(apply_liouvillian(lv, rho))) == approx(0.0, abs=1e-14)
+        h, basis, _ = small_basis()
+        lv = build_liouvillian(basis, [])
+        assert lv.dim == basis.dim
+        assert not lv.rates.any() and not lv.out_rates.any()
+        dense = dense_oracle.liouvillian(h, basis, [])
+        v = basis.state(1)
+        drho = dense_oracle.apply(dense, np.outer(v, v.conj()))
+        assert np.max(np.abs(drho)) == approx(0.0, abs=1e-14)
 
     def test_single_channel_exponential_decay(self):
         gamma = 0.2
-        h = np.diag([0.0, 1.0]).astype(complex)
-        lv = build_liouvillian(h, [toy_channel(2, 0, 1, gamma)])
-        rho = np.diag([0.0, 1.0]).astype(complex)
-        drho = apply_liouvillian(lv, rho)
-        assert np.real(drho[1, 1]) == approx(-gamma)
-        assert np.real(drho[0, 0]) == approx(gamma)
+        h, basis, _ = small_basis()
+        i, j = 0, 3
+        ch = JumpChannel(from_index=j, to_index=i, rate=gamma,
+                         freq=basis.energies[j] - basis.energies[i], bath="cavity")
+        lv = build_liouvillian(basis, [ch])
+        assert lv.pauli_matrix[j, j] == approx(-gamma)
+        assert lv.pauli_matrix[i, j] == approx(gamma)
+        assert lv.out_rates[j] == approx(gamma)
+        # the dense generator applied to |j><j| moves population j -> i
+        v = basis.state(j)
+        drho = dressed(basis, dense_oracle.apply(
+            dense_oracle.liouvillian(h, basis, [ch]), np.outer(v, v.conj())))
+        assert np.real(drho[j, j]) == approx(-gamma)
+        assert np.real(drho[i, i]) == approx(gamma)
 
     def test_trace_preservation(self, rng):
-        lv, _ = _reference_generator()
+        system, dense = _reference_generator()
+        lv = system.lv
+        assert np.max(np.abs(lv.pauli_matrix.sum(axis=0))) < 1e-12 * np.max(lv.out_rates)
         rho = random_density(lv.dim, rng)
-        assert abs(np.trace(apply_liouvillian(lv, rho))) < 1e-12
-        # the trace functional is a left null vector of the generator
-        identity_row = vec(np.eye(lv.dim)) @ lv.matrix
-        assert np.max(np.abs(identity_row)) < 1e-12 * np.max(np.abs(lv.matrix))
+        assert abs(np.trace(dense_oracle.apply(dense, rho))) < 1e-12
+        # the trace functional is a left null vector of the dense generator
+        identity_row = dense_oracle.vec(np.eye(lv.dim)) @ dense
+        assert np.max(np.abs(identity_row)) < 1e-12 * np.max(np.abs(dense))
 
     def test_apply_matches_direct_evaluation(self, rng):
-        lv, (h, channels) = _reference_generator()
+        system, dense = _reference_generator()
         for _ in range(10):
-            rho = random_density(lv.dim, rng)
-            direct = lindblad_rhs(h, channels, rho)
-            assert np.max(np.abs(apply_liouvillian(lv, rho) - direct)) < 1e-12
+            rho = random_density(system.lv.dim, rng)
+            direct = dense_oracle.lindblad_rhs(system.h, system.basis, system.channels, rho)
+            assert np.max(np.abs(dense_oracle.apply(dense, rho) - direct)) < 1e-12
+
+    def test_block_form_matches_dense_generator(self, rng):
+        # populations follow the Pauli matrix; each coherence |i><j| is an
+        # eigenoperator with eigenvalue -i(E_i - E_j) - (Gamma_i + Gamma_j)/2
+        system, dense = _reference_generator()
+        basis, lv = system.basis, system.lv
+        v = basis.states
+        p = rng.dirichlet(np.ones(lv.dim))
+        drho = dressed(basis, dense_oracle.apply(dense, (v * p) @ v.conj().T))
+        assert np.max(np.abs(drho - np.diag(lv.pauli_matrix @ p))) < 1e-13
+        for i, j in [(0, 5), (3, 1), (basis.index_ground, basis.index_plus)]:
+            coherence = np.outer(v[:, i], v[:, j].conj())
+            expected = (-1j * (basis.energies[i] - basis.energies[j])
+                        - 0.5 * (lv.out_rates[i] + lv.out_rates[j])) * coherence
+            out = dense_oracle.apply(dense, coherence)
+            assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_preserves_hermiticity(self, rng):
-        lv, _ = _reference_generator()
-        rho = random_density(lv.dim, rng)
-        out = apply_liouvillian(lv, rho)
+        system, dense = _reference_generator()
+        rho = random_density(system.lv.dim, rng)
+        out = dense_oracle.apply(dense, rho)
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
     def test_dimension_mismatch_rejected(self):
-        lv, _ = _reference_generator()
+        system, dense = _reference_generator()
         with pytest.raises(ValueError):
-            apply_liouvillian(lv, np.eye(lv.dim + 1))
+            system.lv.populations(np.eye(system.lv.dim + 1))
+        with pytest.raises(ValueError):
+            dense_oracle.apply(dense, np.eye(system.lv.dim + 1))
 
 
 def _reference_generator(n_max=3):
-    space = build_space(n_max)
     params = SystemParams.from_eta(0.1, mu=0.1)
     system = build_system(params, n_max=n_max, mu_mode="absolute")
-    return system.lv, (system.h, system.channels)
+    return system, dense_oracle.system_liouvillian(system)
 
 
 class TestSteadyState:
     def test_cavity_only_kernel_is_ambiguous(self):
-        # without electron exchange both sector grounds are stationary
-        space = build_space(2)
-        params = SystemParams.from_eta(0.1)
-        h = hamiltonian(params, space)
-        basis = dressed_basis(h, space)
-        lv = build_liouvillian(h, channels_cavity(basis, space, 7e-4))
+        # without electron exchange both sector grounds are stationary;
+        # the dense generator agrees
+        h, basis, space = small_basis()
+        channels = channels_cavity(basis, space, 7e-4)
         with pytest.raises(SteadyStateError):
-            steady_state(lv)
+            steady_state(build_liouvillian(basis, channels))
+        with pytest.raises(SteadyStateError):
+            dense_oracle.steady_state(dense_oracle.liouvillian(h, basis, channels))
 
     def test_cavity_only_empty_sector_drains_to_vacuum(self):
         # starting in the empty sector, everything funnels into |s,0>
-        space = build_space(2)
-        params = SystemParams.from_eta(0.1)
-        h = hamiltonian(params, space)
-        basis = dressed_basis(h, space)
-        lv = build_liouvillian(h, channels_cavity(basis, space, 7e-4))
-        rho0 = np.outer(space.basis_state("s", 2), space.basis_state("s", 2).conj())
+        _, basis, space = small_basis()
+        lv = build_liouvillian(basis, channels_cavity(basis, space, 7e-4))
+        p0 = np.zeros(basis.dim)
+        p0[basis.s_levels[2]] = 1.0
         horizon = 50.0 / 7e-4
-        rho_t = unvec(sla.expm(lv.matrix * horizon) @ vec(rho0))
-        target = np.outer(space.basis_state("s", 0), space.basis_state("s", 0).conj())
-        assert np.max(np.abs(rho_t - target)) < 1e-8
+        p_t = sla.expm(lv.pauli_matrix * horizon) @ p0
+        target = np.zeros(basis.dim)
+        target[basis.s_levels[0]] = 1.0
+        assert np.max(np.abs(p_t - target)) < 1e-8
 
     def test_balanced_cycle_without_coupling(self):
         system = build_system(SystemParams.from_eta(0.0, mu=0.2), mu_mode="absolute")
@@ -126,9 +156,12 @@ class TestSteadyState:
         eta, gamma = 0.1, 0.5e-6
         assert moment == approx(eta**2 * gamma / (8 * 7e-4), rel=0.1)
 
-    def test_stationarity_residual(self, low_bias_system):
-        residual = apply_liouvillian(low_bias_system.lv, low_bias_system.rho_ss)
+    def test_stationarity_residual(self, low_bias_system, dense_generator):
+        system = low_bias_system
+        residual = dense_oracle.apply(dense_generator(system), system.rho_ss)
         assert np.max(np.abs(residual)) < 1e-9
+        p = system.lv.populations(system.rho_ss)
+        assert np.max(np.abs(system.lv.pauli_matrix @ p)) < 1e-14 * np.max(system.lv.out_rates)
 
     def test_physicality(self, low_bias_system):
         report = check_density_operator(low_bias_system.rho_ss)
@@ -137,31 +170,31 @@ class TestSteadyState:
     def test_no_injection_no_extraction_is_ambiguous(self):
         system = build_system(SystemParams.from_eta(0.1, mu=0.2), mu_mode="absolute")
         cavity_only = [ch for ch in system.channels if ch.bath == "cavity"]
-        lv = build_liouvillian(system.h, cavity_only)
         with pytest.raises(SteadyStateError):
-            steady_state(lv)
+            steady_state(build_liouvillian(system.basis, cavity_only))
+        with pytest.raises(SteadyStateError):
+            dense_oracle.steady_state(
+                dense_oracle.liouvillian(system.h, system.basis, cavity_only))
 
 
 class TestSpectralStructure:
-    def test_contraction_spectrum(self, low_bias_system):
-        evals = np.linalg.eigvals(low_bias_system.lv.matrix)
+    def test_contraction_spectrum(self, low_bias_system, dense_generator):
+        evals = np.linalg.eigvals(dense_generator(low_bias_system))
         assert np.max(evals.real) <= 1e-10
         near_zero = np.sum(np.abs(evals) < 1e-10)
         assert near_zero == 1
 
     def test_vectorization_round_trip(self, rng):
         rho = random_density(6, rng)
-        assert np.max(np.abs(unvec(vec(rho)) - rho)) == approx(0.0)
+        assert np.max(np.abs(dense_oracle.unvec(dense_oracle.vec(rho)) - rho)) == approx(0.0)
 
     def test_steady_state_convention_independent(self):
-        # rebuilding the generator in the row-stacking convention (a
-        # permutation similarity) must give the same physical state
-        system = build_system(SystemParams.from_eta(0.1, mu=0.1), n_max=3,
-                              mu_mode="absolute")
+        # the dense kernel in the row-stacking convention (a permutation
+        # similarity of the column-stacked generator) is the same state
+        system, dense = _reference_generator()
         d = system.space.dim
         perm = np.zeros((d * d, d * d))
         for i, j in itertools.product(range(d), range(d)):
             perm[i * d + j, j * d + i] = 1.0
-        row_lv = Superoperator(matrix=perm @ system.lv.matrix @ perm.T, dim=d)
-        rho_row = steady_state(row_lv).T  # row convention stores the transpose
+        rho_row = dense_oracle.steady_state(perm @ dense @ perm.T).T
         assert np.max(np.abs(rho_row - system.rho_ss)) < 1e-10

@@ -138,8 +138,11 @@ class TestRateSteadyState:
             pops = rate_steady_state(m)
         except NullSpaceError:
             return  # disconnected random graph: no unique steady state
-        nonzero = [r for r in m.ravel() if r > 0]
-        horizon = 100.0 / min(nonzero)
+        # the slowest transient decays at the spectral gap: the smallest
+        # |Re lambda| once the stationary eigenvalue is set aside
+        evals = np.linalg.eigvals(m)
+        gap = np.min(np.abs(np.delete(evals, np.argmin(np.abs(evals))).real))
+        horizon = 100.0 / gap
         p0 = np.random.default_rng(seed).dirichlet(np.ones(5))
         sol = solve_ivp(lambda _, p: m @ p, (0.0, horizon), p0,
                         method="Radau", rtol=1e-10, atol=1e-13)
