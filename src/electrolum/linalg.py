@@ -1,24 +1,26 @@
-"""Dense complex linear algebra used by all other modules.
+"""Linear-algebra contracts used by the other modules, in plain numpy.
 
-Matrices are plain ``numpy.ndarray`` of ``complex128`` in C (row-major)
-order; no wrapper types.  The two entry points wrap LAPACK through
-numpy/scipy but enforce the contracts the rest of the package relies on:
-a Hermiticity check before ``eigh`` and a kernel-dimension check before
-accepting a null vector.
+Two entry points, each checking its input before computing anything:
 
-Tolerances are relative to the input scale with an absolute floor of
-1e-14, so the contracts behave the same for rate-scaled (~1e-6) and
-order-one matrices.
+* ``eig_hermitian`` checks Hermiticity before calling ``numpy.linalg.eigh``;
+* ``stationary_distribution`` checks that a real matrix is a rate
+  generator and that its stationary state is unique, then solves for it
+  by GTH state reduction, which is accurate entry by entry however far
+  the rates and populations spread.
+
+Tolerances are relative to the input scale: the largest entry of the
+matrix (floored at 1e-14 for the Hermiticity check), so the contracts
+behave the same for rate-scaled (~1e-6) and order-one matrices.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg as sla
 
 ABS_FLOOR = 1e-14
+# column sums of a rate generator must vanish to this fraction of its
+# largest entry (round-off of a D-term sum is D * 1.1e-16)
+GENERATOR_RTOL = 1e-12
 
 
 class LinalgError(ValueError):
@@ -30,7 +32,7 @@ class NonHermitianError(LinalgError):
 
 
 class NullSpaceError(LinalgError):
-    """Kernel dimension is not one within tolerance."""
+    """Kernel dimension is not one."""
 
 
 def _as_square_matrix(m) -> np.ndarray:
@@ -67,54 +69,82 @@ def eig_hermitian(m, rtol: float = 1e-12):
     return vals, vecs
 
 
-def null_vector(a, rtol: float = 1e-9, kernel_gap: float = 1e3):
-    """Unit-norm vector spanning the one-dimensional kernel of ``A``.
+def _closure(step: np.ndarray) -> np.ndarray:
+    """Reflexive-transitive closure of a boolean one-step relation."""
+    reach = step | np.eye(step.shape[0], dtype=bool)
+    while True:
+        # squaring doubles the path length covered; counting paths in
+        # floating point uses BLAS, and > 0 turns counts back into reach
+        r = reach.astype(float)
+        wider = (r @ r) > 0
+        if np.array_equal(wider, reach):
+            return reach
+        reach = wider
 
-    The vector is the right singular direction of the smallest singular
-    value, refined by one step of inverse iteration (the refinement
-    matters for generators whose slowest nonzero mode is many orders of
-    magnitude below the matrix norm).  A second singular value within
-    ``kernel_gap`` times the smallest one means the kernel dimension is
-    ambiguous and NullSpaceError is raised.
+
+def stationary_distribution(m) -> np.ndarray:
+    """Probability vector p with M p = 0 for a rate generator M.
+
+    ``M[i, j]`` (i != j) is the rate j -> i; the rates are non-negative
+    and every column sums to zero.  The stationary state is unique
+    exactly when the rate graph has one closed communicating class.  It
+    lives on that class, so every transient level gets exactly 0.  On
+    the class it is computed by GTH state reduction (Grassmann, Taksar &
+    Heyman, Oper. Res. 33, 1107 (1985)): levels are eliminated one at a
+    time from the off-diagonal rates alone, using only sums, products
+    and quotients of non-negative numbers.  With no subtraction, each
+    entry is accurate relative to itself, including populations tens of
+    orders of magnitude below the largest.  The diagonal is only checked.
+
+    Raises LinalgError if M is not a square, finite, real generator
+    (a negative off-diagonal entry, or a column sum beyond
+    ``GENERATOR_RTOL`` times the largest entry), and NullSpaceError if
+    the rate graph has more than one closed class, where the kernel is
+    more than one-dimensional.
     """
-    a = _as_square_matrix(a)
-    if a.shape[0] == 0:
-        raise LinalgError("empty matrix has no kernel vector")
-    scale = float(np.linalg.norm(a, ord=2)) if a.size else 0.0
-    _, svals, vh = sla.svd(a)
-    smallest = svals[-1]
-    second = svals[-2] if len(svals) > 1 else np.inf
-    threshold = max(rtol * scale, ABS_FLOOR)
-    if smallest > threshold:
-        raise NullSpaceError(
-            f"no kernel within tolerance: smallest singular value "
-            f"{smallest:.3e} exceeds {threshold:.3e}"
+    a = np.asarray(m)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise LinalgError(f"expected a non-empty square matrix, got shape {a.shape}")
+    if np.iscomplexobj(a) or not np.all(np.isfinite(a)):
+        raise LinalgError("a rate generator must be real and finite")
+    rates = np.array(a, dtype=float)
+    np.fill_diagonal(rates, 0.0)
+    if np.any(rates < 0):
+        raise LinalgError("not a rate generator: negative off-diagonal rate")
+    defect = float(np.max(np.abs(a.sum(axis=0))))
+    tol = GENERATOR_RTOL * float(np.max(np.abs(a)))
+    if defect > tol:
+        raise LinalgError(
+            f"not a rate generator: column sum {defect:.3e} exceeds {tol:.3e}"
         )
-    if second <= max(kernel_gap * smallest, ABS_FLOOR * scale):
+
+    # reach[i, j]: level j can be reached from level i.  A level is
+    # recurrent when every level it reaches leads back to it; the
+    # recurrent levels split into closed classes by what they reach.
+    reach = _closure(rates.T > 0)
+    recurrent = np.all(reach.T | ~reach, axis=1)
+    classes = np.unique(reach[recurrent], axis=0)
+    if len(classes) != 1:
         raise NullSpaceError(
-            f"kernel dimension ambiguous: singular values "
-            f"{smallest:.3e} and {second:.3e} are not separated"
+            f"kernel dimension ambiguous: the rate graph has "
+            f"{len(classes)} closed classes"
         )
-    x = vh[-1].conj()
-    # One inverse-iteration step scrubs the contamination of the slowest
-    # nonzero mode out of the SVD direction (error ~ eps*||A||/sigma_2).
-    # An exact zero pivot is retried with a tiny diagonal shift, which
-    # leaves the iteration convergent toward the same kernel direction.
-    for shift in (0.0, 1e-13 * scale):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", sla.LinAlgWarning)
-                lu, piv = sla.lu_factor(a + shift * np.eye(a.shape[0]) if shift else a)
-                with np.errstate(all="ignore"):
-                    y = sla.lu_solve((lu, piv), x)
-        except (np.linalg.LinAlgError, ValueError):
-            continue
-        norm = np.linalg.norm(y)
-        if np.all(np.isfinite(y)) and norm > 0:
-            x = y / norm
-            break
-    x = x / np.linalg.norm(x)
-    # Fix the overall phase so results are deterministic run to run.
-    k = int(np.argmax(np.abs(x)))
-    phase = x[k] / abs(x[k])
-    return x / phase
+    members = np.flatnonzero(classes[0])
+
+    # q[i, j]: rate i -> j within the class.  Eliminating level k folds
+    # every path i -> k -> j into q[i, j]; out[k] is the rate leaving k
+    # towards the levels still present, positive because the class is
+    # closed and communicating.  Diagonal entries are never read.
+    q = rates[np.ix_(members, members)].T.copy()
+    size = len(members)
+    out = np.zeros(size)
+    for k in range(size - 1, 0, -1):
+        out[k] = q[k, :k].sum()
+        q[:k, :k] += np.outer(q[:k, k], q[k, :k] / out[k])
+    # balance of level k in the chain reduced to levels 0..k
+    x = np.ones(size)
+    for k in range(1, size):
+        x[k] = (x[:k] @ q[:k, k]) / out[k]
+    p = np.zeros(a.shape[0])
+    p[members] = x / x.sum()
+    return p

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NullSpaceError, null_vector
+from .linalg import NullSpaceError, stationary_distribution
 
 
 @dataclass(frozen=True)
@@ -70,24 +70,20 @@ class SteadyStateError(NullSpaceError):
 def steady_state(lv: SecularGenerator) -> np.ndarray:
     """Unique stationary density operator of the generator, in the bare basis.
 
-    The populations are the kernel of the Pauli matrix; a one-dimensional
-    kernel leaves at most one level with zero out-rate, so every
-    coherence decays and rho_ss = V diag(p) V^dagger.  A degenerate
-    kernel (for example with the electron channels switched off) raises
-    SteadyStateError.
+    The populations are the stationary distribution of the Pauli matrix.
+    A unique one leaves at most one level with zero out-rate, so every
+    coherence decays and rho_ss = V diag(p) V^dagger.  More than one
+    closed class in the rate graph (for example with the electron
+    channels switched off) raises SteadyStateError.
     """
     try:
-        v = null_vector(lv.pauli_matrix)
+        p = stationary_distribution(lv.pauli_matrix)
     except NullSpaceError as err:
         raise SteadyStateError(
             f"no unique stationary state: {err} "
             "(is the channel graph connected, e.g. gamma_in > 0?)"
         ) from err
-    p = np.real(v)
-    total = p.sum()
-    if abs(total) < 1e-12:
-        raise SteadyStateError("kernel vector is traceless; not a state")
-    rho = (lv.states * (p / total)) @ lv.states.conj().T
+    rho = (lv.states * p) @ lv.states.conj().T
     return 0.5 * (rho + rho.conj().T)
 
 

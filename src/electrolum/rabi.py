@@ -207,21 +207,3 @@ def _check_sector_purity(basis: DressedBasis, space: ModelSpace, tol: float = 1e
             f"eigenstate electron number deviates from integer by {np.max(defect):.3e}"
         )
 
-
-def ground_photon_number(basis: DressedBasis, space: ModelSpace) -> float:
-    """<G| a^dagger a |G>: bound photons in the dressed ground state."""
-    g = basis.state(basis.index_ground)
-    return float(np.real(g.conj() @ number_photon(space) @ g))
-
-
-def jc_reference(params: SystemParams, space: ModelSpace):
-    """Closed-form weak-coupling states: G = |g,0>, +/- = (|g,1> +/- |e,0>)/sqrt(2).
-
-    Valid at resonance; used as a test oracle for the exact levels.
-    """
-    if not params.is_resonant:
-        raise ValueError("reference states are defined at resonance omega_e = omega_c")
-    g = space.basis_state("g", 0)
-    plus = (space.basis_state("g", 1) + space.basis_state("e", 0)) / np.sqrt(2)
-    minus = (space.basis_state("g", 1) - space.basis_state("e", 0)) / np.sqrt(2)
-    return g, plus, minus

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dissipators import BATH_CAVITY, BATH_IN, BATH_OUT, find_channel
-from .linalg import NullSpaceError, null_vector
+from .linalg import NullSpaceError, stationary_distribution
 from .rabi import DressedBasis
 
 # population vector order used throughout this module
@@ -166,18 +166,11 @@ def rate_matrix(rates: RateSet) -> np.ndarray:
 
 
 def rate_steady_state(mat: np.ndarray) -> Populations:
-    """Normalized kernel of the generator; raises on a degenerate kernel."""
+    """Stationary populations of the generator; raises on a degenerate kernel."""
     try:
-        v = null_vector(np.asarray(mat, dtype=complex))
+        p = stationary_distribution(mat)
     except NullSpaceError as err:
         raise NullSpaceError(f"rate system has no unique steady state: {err}") from err
-    p = np.real(v)
-    total = p.sum()
-    if abs(total) < 1e-12:
-        raise NullSpaceError("kernel vector of the rate system sums to zero")
-    p = p / total
-    p = np.clip(p, 0.0, None)  # scrub -1e-17 level noise
-    p = p / p.sum()
     return Populations(s0=p[0], s1=p[1], g=p[2], plus=p[3], minus=p[4])
 
 

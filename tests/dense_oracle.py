@@ -3,7 +3,9 @@
 Everything here works on the full D^2 x D^2 superoperator in the bare
 basis and makes no use of the block structure the package exploits.
 Each jump operator is rebuilt from the columns of ``basis.states`` as
-|to><from|; nothing is read from ``SecularGenerator``.
+|to><from|; nothing is read from ``SecularGenerator``.  The kernel is
+taken with an SVD (``null_vector``), not with the production GTH
+reduction, which only applies to real rate generators.
 
 Operators are vectorized by column stacking: vec(rho) stacks the columns
 of rho, so vec(A rho B) = (B^T kron A) vec(rho).
@@ -11,11 +13,13 @@ of rho, so vec(A rho B) = (B^T kron A) vec(rho).
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import scipy.linalg as sla
 
 from electrolum.liouvillian import SteadyStateError
-from electrolum.linalg import NullSpaceError, null_vector
+from electrolum.linalg import ABS_FLOOR, LinalgError, NullSpaceError
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -83,6 +87,59 @@ def lindblad_rhs(h: np.ndarray, basis, channels, rho: np.ndarray) -> np.ndarray:
         ada = ad @ a
         drho += ch.rate * (a @ rho @ ad - 0.5 * (ada @ rho + rho @ ada))
     return drho
+
+
+def null_vector(a, rtol: float = 1e-9, kernel_gap: float = 1e3):
+    """Unit-norm vector spanning the one-dimensional kernel of ``A``.
+
+    The vector is the right singular direction of the smallest singular
+    value, refined by one step of inverse iteration (the refinement
+    matters for generators whose slowest nonzero mode is many orders of
+    magnitude below the matrix norm).  A second singular value within
+    ``kernel_gap`` times the smallest one means the kernel dimension is
+    ambiguous and NullSpaceError is raised.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise LinalgError(f"expected a non-empty square matrix, got shape {a.shape}")
+    scale = float(np.linalg.norm(a, ord=2))
+    _, svals, vh = sla.svd(a)
+    smallest = svals[-1]
+    second = svals[-2] if len(svals) > 1 else np.inf
+    threshold = max(rtol * scale, ABS_FLOOR)
+    if smallest > threshold:
+        raise NullSpaceError(
+            f"no kernel within tolerance: smallest singular value "
+            f"{smallest:.3e} exceeds {threshold:.3e}"
+        )
+    if second <= max(kernel_gap * smallest, ABS_FLOOR * scale):
+        raise NullSpaceError(
+            f"kernel dimension ambiguous: singular values "
+            f"{smallest:.3e} and {second:.3e} are not separated"
+        )
+    x = vh[-1].conj()
+    # One inverse-iteration step scrubs the contamination of the slowest
+    # nonzero mode out of the SVD direction (error ~ eps*||A||/sigma_2).
+    # An exact zero pivot is retried with a tiny diagonal shift, which
+    # leaves the iteration convergent toward the same kernel direction.
+    for shift in (0.0, 1e-13 * scale):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", sla.LinAlgWarning)
+                lu, piv = sla.lu_factor(a + shift * np.eye(a.shape[0]) if shift else a)
+                with np.errstate(all="ignore"):
+                    y = sla.lu_solve((lu, piv), x)
+        except (np.linalg.LinAlgError, ValueError):
+            continue
+        norm = np.linalg.norm(y)
+        if np.all(np.isfinite(y)) and norm > 0:
+            x = y / norm
+            break
+    x = x / np.linalg.norm(x)
+    # Fix the overall phase so results are deterministic run to run.
+    k = int(np.argmax(np.abs(x)))
+    phase = x[k] / abs(x[k])
+    return x / phase
 
 
 def steady_state(mat: np.ndarray) -> np.ndarray:

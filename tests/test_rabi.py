@@ -2,14 +2,33 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from electrolum.hilbert import SystemParams, build_space, number_electron, parity
-from electrolum.rabi import (
-    SectorMixingError,
-    dressed_basis,
-    ground_photon_number,
-    hamiltonian,
-    jc_reference,
+from electrolum.hilbert import (
+    SystemParams,
+    build_space,
+    number_electron,
+    number_photon,
+    parity,
 )
+from electrolum.rabi import SectorMixingError, dressed_basis, hamiltonian
+
+
+def ground_photon_number(basis, space) -> float:
+    """<G| a^dagger a |G>: bound photons in the dressed ground state."""
+    g = basis.state(basis.index_ground)
+    return float(np.real(g.conj() @ number_photon(space) @ g))
+
+
+def jc_reference(params: SystemParams, space):
+    """Closed-form weak-coupling states: G = |g,0>, +/- = (|g,1> +/- |e,0>)/sqrt(2).
+
+    Valid at resonance; used as a test oracle for the exact levels.
+    """
+    if not params.is_resonant:
+        raise ValueError("reference states are defined at resonance omega_e = omega_c")
+    g = space.basis_state("g", 0)
+    plus = (space.basis_state("g", 1) + space.basis_state("e", 0)) / np.sqrt(2)
+    minus = (space.basis_state("g", 1) - space.basis_state("e", 0)) / np.sqrt(2)
+    return g, plus, minus
 
 
 def basis_for(eta, n_max=8, **kwargs):
