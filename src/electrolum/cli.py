@@ -286,7 +286,8 @@ def _row_fluxes(system, grid):
         theta = np.linspace(-np.arctan(WINDOW_SCALE), np.arctan(WINDOW_SCALE), 241)
         width = win.halfwidth / WINDOW_SCALE
         refined.append(win.center + width * np.tan(theta))
-    dense = np.unique(np.concatenate(refined))
+    dense = np.sort(np.concatenate(refined))
+    dense = dense[np.concatenate(([True], np.diff(dense) > 0))]
     spec = system.emission_spectrum(dense)
     capture = window_capture(WINDOW_SCALE)
     return {

@@ -19,11 +19,15 @@ emission intensities, which is how it is validated in the tests.
 
 Gate arguments are built from energy differences within each sector, so
 every rate is invariant under a global shift of the empty-state energy.
+
+The channels of a system form one :class:`ChannelTable` of parallel
+arrays, selected with masks over the dressed matrix elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +47,7 @@ BATH_IN = "electron_in"
 BATH_OUT = "electron_out"
 
 
-@dataclass(frozen=True)
-class JumpChannel:
+class JumpChannel(NamedTuple):
     """One dressed transition |to><from| with its golden-rule rate.
 
     The jump operator is the rank-one |to><from| between two dressed
@@ -61,8 +64,42 @@ class JumpChannel:
     bath: str
 
 
-def gate_open(argument: float, tol: float = GATE_TOL) -> bool:
-    """Zero-temperature occupation step with Theta(0) = 1."""
+@dataclass(frozen=True)
+class ChannelTable:
+    """Jump channels as parallel arrays, one entry per channel.
+
+    Row k is the channel ``from_index[k] -> to_index[k]`` of bath
+    ``bath[k]``; iterating yields the rows as :class:`JumpChannel`.
+    """
+
+    from_index: np.ndarray
+    to_index: np.ndarray
+    rate: np.ndarray
+    freq: np.ndarray
+    bath: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rate)
+
+    def __iter__(self):
+        columns = (self.from_index, self.to_index, self.rate, self.freq, self.bath)
+        return map(JumpChannel._make, zip(*(c.tolist() for c in columns)))
+
+    def of_bath(self, bath: str) -> ChannelTable:
+        """The rows of one bath, in table order."""
+        keep = self.bath == bath
+        return ChannelTable(self.from_index[keep], self.to_index[keep],
+                            self.rate[keep], self.freq[keep], self.bath[keep])
+
+    @classmethod
+    def concat(cls, tables) -> ChannelTable:
+        tables = list(tables)
+        return cls(*(np.concatenate([getattr(t, name) for t in tables])
+                     for name in ("from_index", "to_index", "rate", "freq", "bath")))
+
+
+def gate_open(argument, tol: float = GATE_TOL):
+    """Zero-temperature occupation step with Theta(0) = 1 (elementwise on arrays)."""
     return argument >= -tol
 
 
@@ -72,15 +109,24 @@ def _dressed_elements(op: np.ndarray, basis: DressedBasis) -> np.ndarray:
     return v.conj().T @ op @ v
 
 
-def _make_channel(basis, i, j, weight, bare_rate, bath) -> JumpChannel:
-    """Channel j -> i with rate bare_rate * weight (weight = |<i|op|j>|^2)."""
-    return JumpChannel(
-        from_index=int(j),
-        to_index=int(i),
-        rate=float(bare_rate * weight),
-        freq=float(basis.energies[j] - basis.energies[i]),
-        bath=bath,
-    )
+def _channels(basis: DressedBasis, op: np.ndarray, allowed: np.ndarray,
+              bare_rate: float, bath: str) -> ChannelTable:
+    """Channels j -> i of rate bare_rate |<i|op|j>|^2 wherever allowed[i, j].
+
+    Elements below the weight cut are dropped.  Rows are ordered by
+    from-level, then by to-level.
+    """
+    weight = np.abs(_dressed_elements(op, basis)) ** 2
+    j, i = np.nonzero((allowed & (weight >= WEIGHT_CUT)).T)
+    e = basis.energies
+    return ChannelTable(from_index=j, to_index=i, rate=bare_rate * weight[i, j],
+                        freq=e[j] - e[i], bath=np.full(len(i), bath))
+
+
+def _downward(basis: DressedBasis) -> np.ndarray:
+    """Mask [i, j] of the pairs with E_j > E_i."""
+    e = basis.energies
+    return e[None, :] > e[:, None]
 
 
 def quadrature(space: ModelSpace) -> np.ndarray:
@@ -96,63 +142,41 @@ def extraction_operator(space: ModelSpace) -> np.ndarray:
     return transition(space, "g", "s") + transition(space, "e", "s")
 
 
-def channels_cavity(basis: DressedBasis, space: ModelSpace, gamma_cav: float):
+def channels_cavity(basis: DressedBasis, space: ModelSpace,
+                    gamma_cav: float) -> ChannelTable:
     """One zero-temperature photon channel per energy-decreasing pair."""
-    elems = _dressed_elements(quadrature(space), basis)
-    channels = []
-    for j in range(basis.dim):
-        for i in range(basis.dim):
-            if basis.energies[j] <= basis.energies[i]:
-                continue
-            weight = abs(elems[i, j]) ** 2
-            if weight < WEIGHT_CUT:
-                continue
-            channels.append(_make_channel(basis, i, j, weight, gamma_cav, BATH_CAVITY))
-    return channels
+    return _channels(basis, quadrature(space), _downward(basis), gamma_cav, BATH_CAVITY)
 
 
-def channels_out(basis: DressedBasis, space: ModelSpace, gamma_out: float):
+def channels_out(basis: DressedBasis, space: ModelSpace,
+                 gamma_out: float) -> ChannelTable:
     """Extraction from every one-electron level into every |s,n>; no gate."""
-    elems = _dressed_elements(extraction_operator(space), basis)
-    channels = []
-    for j in basis.one_electron_indices():
-        for n, i in enumerate(basis.s_levels):
-            weight = abs(elems[i, j]) ** 2
-            if weight < WEIGHT_CUT:
-                continue
-            channels.append(_make_channel(basis, i, j, weight, gamma_out, BATH_OUT))
-    return channels
+    allowed = np.outer(basis.sector == 0, basis.sector == 1)
+    return _channels(basis, extraction_operator(space), allowed, gamma_out, BATH_OUT)
 
 
-def channels_in(basis: DressedBasis, space: ModelSpace, gamma_in: float, mu: float):
-    """Injection |s,n> -> |j>, open only when mu + n*omega_c reaches the level.
+def channels_in(basis: DressedBasis, space: ModelSpace, gamma_in: float,
+                mu: float) -> ChannelTable:
+    """Injection |s,n> -> |i>, open only when mu + n*omega_c reaches the level.
 
     The photon energy n*omega_c is taken as E_{s,n} - E_{s,0} and the
     one-electron energies carry no empty-state offset, so the gate
     argument is independent of omega_s.
     """
-    elems = _dressed_elements(injection_operator(space), basis)
-    e_s0 = basis.energies[basis.s_levels[0]]
-    channels = []
-    for n, j in enumerate(basis.s_levels):
-        photon_energy = basis.energies[j] - e_s0
-        for i in basis.one_electron_indices():
-            if not gate_open(mu + photon_energy - basis.energies[i]):
-                continue
-            weight = abs(elems[i, j]) ** 2
-            if weight < WEIGHT_CUT:
-                continue
-            channels.append(_make_channel(basis, i, j, weight, gamma_in, BATH_IN))
-    return channels
+    e = basis.energies
+    photon_energy = e - e[basis.s_levels[0]]
+    allowed = (np.outer(basis.sector == 1, basis.sector == 0)
+               & gate_open(mu + photon_energy[None, :] - e[:, None]))
+    return _channels(basis, injection_operator(space), allowed, gamma_in, BATH_IN)
 
 
-def all_channels(basis: DressedBasis, space: ModelSpace, params) -> list:
+def all_channels(basis: DressedBasis, space: ModelSpace, params) -> ChannelTable:
     """Cavity, extraction, and injection channels for one parameter set."""
-    return (
-        channels_cavity(basis, space, params.gamma_cav)
-        + channels_out(basis, space, params.gamma_out)
-        + channels_in(basis, space, params.gamma_in, params.mu)
-    )
+    return ChannelTable.concat((
+        channels_cavity(basis, space, params.gamma_cav),
+        channels_out(basis, space, params.gamma_out),
+        channels_in(basis, space, params.gamma_in, params.mu),
+    ))
 
 
 def x_pm(basis: DressedBasis, space: ModelSpace):
@@ -162,20 +186,7 @@ def x_pm(basis: DressedBasis, space: ModelSpace):
     bare basis.  X^- + X^+ differs from X only on degenerate pairs and
     the diagonal, both of which carry zero quadrature weight here.
     """
-    elems = _dressed_elements(quadrature(space), basis)
-    lower = np.zeros_like(elems)
-    for j in range(basis.dim):
-        for i in range(basis.dim):
-            if basis.energies[j] > basis.energies[i]:
-                lower[i, j] = elems[i, j]
+    lower = np.where(_downward(basis), _dressed_elements(quadrature(space), basis), 0.0)
     v = basis.states
     x_minus = v @ lower @ v.conj().T
     return x_minus, x_minus.conj().T
-
-
-def find_channel(channels, basis: DressedBasis, from_index: int, to_index: int):
-    """Rate of the channel from_index -> to_index, or 0.0 if absent/gated away."""
-    for ch in channels:
-        if ch.from_index == from_index and ch.to_index == to_index:
-            return ch.rate
-    return 0.0

@@ -119,17 +119,19 @@ def stationary_distribution(m) -> np.ndarray:
         )
 
     # reach[i, j]: level j can be reached from level i.  A level is
-    # recurrent when every level it reaches leads back to it; the
-    # recurrent levels split into closed classes by what they reach.
+    # recurrent when every level it reaches leads back to it; what a
+    # recurrent level reaches is its closed class.  A recurrent level
+    # leads its class when no earlier recurrent level reaches it.
     reach = _closure(rates.T > 0)
-    recurrent = np.all(reach.T | ~reach, axis=1)
-    classes = np.unique(reach[recurrent], axis=0)
-    if len(classes) != 1:
+    recurrent = np.flatnonzero(np.all(reach.T | ~reach, axis=1))
+    among = reach[np.ix_(recurrent, recurrent)]
+    classes = int(np.sum(~np.triu(among, 1).any(axis=0)))
+    if classes != 1:
         raise NullSpaceError(
             f"kernel dimension ambiguous: the rate graph has "
-            f"{len(classes)} closed classes"
+            f"{classes} closed classes"
         )
-    members = np.flatnonzero(classes[0])
+    members = np.flatnonzero(reach[recurrent[0]])
 
     # q[i, j]: rate i -> j within the class.  Eliminating level k folds
     # every path i -> k -> j into q[i, j]; out[k] is the rate leaving k

@@ -48,17 +48,11 @@ class SecularGenerator:
         """M with dp/dt = M p over the dressed populations; columns sum to zero."""
         return self.rates - np.diag(self.out_rates)
 
-    def populations(self, rho: np.ndarray) -> np.ndarray:
-        """<k| rho |k> for every dressed level k, rho in the bare basis."""
-        v = self.states
-        return np.real(np.einsum("ik,ij,jk->k", v.conj(), rho, v))
-
 
 def build_liouvillian(basis, channels) -> SecularGenerator:
-    """Pauli rate matrix and level out-rates of the channels over the dressed basis."""
+    """Pauli rate matrix and level out-rates of a channel table over the dressed basis."""
     rates = np.zeros((basis.dim, basis.dim))
-    for ch in channels:
-        rates[ch.to_index, ch.from_index] += ch.rate
+    np.add.at(rates, (channels.to_index, channels.from_index), channels.rate)
     return SecularGenerator(states=basis.states, rates=rates,
                             out_rates=rates.sum(axis=0))
 
@@ -68,22 +62,27 @@ class SteadyStateError(NullSpaceError):
 
 
 def steady_state(lv: SecularGenerator) -> np.ndarray:
-    """Unique stationary density operator of the generator, in the bare basis.
+    """Unique stationary populations p_k of the dressed levels.
 
-    The populations are the stationary distribution of the Pauli matrix.
-    A unique one leaves at most one level with zero out-rate, so every
-    coherence decays and rho_ss = V diag(p) V^dagger.  More than one
-    closed class in the rate graph (for example with the electron
-    channels switched off) raises SteadyStateError.
+    They are the stationary distribution of the Pauli matrix.  A unique
+    one leaves at most one level with zero out-rate, so every coherence
+    decays and the stationary state is diagonal in the dressed basis
+    (see :func:`density_operator`).  More than one closed class in the
+    rate graph (for example with the electron channels switched off)
+    raises SteadyStateError.
     """
     try:
-        p = stationary_distribution(lv.pauli_matrix)
+        return stationary_distribution(lv.pauli_matrix)
     except NullSpaceError as err:
         raise SteadyStateError(
             f"no unique stationary state: {err} "
             "(is the channel graph connected, e.g. gamma_in > 0?)"
         ) from err
-    rho = (lv.states * p) @ lv.states.conj().T
+
+
+def density_operator(lv: SecularGenerator, populations: np.ndarray) -> np.ndarray:
+    """V diag(p) V^dagger: the state with dressed populations p, in the bare basis."""
+    rho = (lv.states * populations) @ lv.states.conj().T
     return 0.5 * (rho + rho.conj().T)
 
 

@@ -22,12 +22,18 @@ dressed energies depend on the coupling:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import dissipators, ratemodel, spectrum as spectrum_mod
 from .hilbert import ModelSpace, SystemParams, build_space
-from .liouvillian import SecularGenerator, build_liouvillian, steady_state
+from .liouvillian import (
+    SecularGenerator,
+    build_liouvillian,
+    density_operator,
+    steady_state,
+)
 from .rabi import DressedBasis, dressed_basis, hamiltonian
 
 MU_MODES = ("absolute", "omega_G", "omega_G_plus_omega_plus")
@@ -55,16 +61,21 @@ class DressedSystem:
     space: ModelSpace
     h: np.ndarray
     basis: DressedBasis
-    channels: list
+    channels: dissipators.ChannelTable
     lv: SecularGenerator
-    rho_ss: np.ndarray
+    populations: np.ndarray  # stationary populations of the dressed levels
+
+    @cached_property
+    def rho_ss(self) -> np.ndarray:
+        """Stationary density operator in the bare basis."""
+        return density_operator(self.lv, self.populations)
 
     @property
     def x_pm(self):
         return dissipators.x_pm(self.basis, self.space)
 
     def line_fluxes(self):
-        return spectrum_mod.line_fluxes(self.basis, self.channels, self.rho_ss)
+        return spectrum_mod.line_fluxes(self.basis, self.channels, self.populations)
 
     def rate_model_fluxes(self):
         rates = ratemodel.extract_rates(self.basis, self.channels)
@@ -74,7 +85,8 @@ class DressedSystem:
     def emission_spectrum(self, grid=None) -> spectrum_mod.Spectrum:
         if grid is None:
             grid = spectrum_mod.default_grid()
-        spec = spectrum_mod.emission_spectrum(self.lv, self.rho_ss, self.channels, grid)
+        spec = spectrum_mod.emission_spectrum(self.lv, self.populations, self.channels,
+                                              grid)
         spec.metadata.update(
             gamma_cav=self.params.gamma_cav,
             mu=self.params.mu,
@@ -95,7 +107,6 @@ def build_system(params: SystemParams, n_max: int = DEFAULT_N_MAX,
     params = replace(params, mu=mu)
     channels = dissipators.all_channels(basis, space, params)
     lv = build_liouvillian(basis, channels)
-    rho_ss = steady_state(lv)
     return DressedSystem(
         params=params,
         space=space,
@@ -103,5 +114,5 @@ def build_system(params: SystemParams, n_max: int = DEFAULT_N_MAX,
         basis=basis,
         channels=channels,
         lv=lv,
-        rho_ss=rho_ss,
+        populations=steady_state(lv),
     )

@@ -64,24 +64,36 @@ def default_grid(lo: float = 0.5, hi: float = 1.5, points: int = 4001) -> np.nda
     return np.linspace(lo, hi, points)
 
 
-def emission_spectrum(lv: SecularGenerator, rho_ss: np.ndarray, channels,
+def _check_populations(populations, dim: int) -> np.ndarray:
+    p = np.asarray(populations)
+    if p.shape != (dim,):
+        raise ValueError(
+            f"expected {dim} dressed-level populations, got an array of shape {p.shape}"
+        )
+    return p
+
+
+def emission_spectrum(lv: SecularGenerator, populations: np.ndarray, channels,
                       grid) -> Spectrum:
     """S(w) over the grid: one Lorentzian per cavity channel.
 
     Channel from -> to emits rate * p_from photons per unit time at
     freq = E_from - E_to, with the half-width (Gamma_from + Gamma_to)/2
-    of the coherence it leaves behind.  Zero-rate channels carry no
-    weight and are skipped, so no term is ever 0/0.
+    of the coherence it leaves behind.  ``populations`` are the
+    stationary populations of the dressed levels.  Zero-weight channels
+    are skipped, so no term is ever 0/0.
     """
     omegas = np.asarray(grid, dtype=float)
-    populations = lv.populations(rho_ss)
+    p = _check_populations(populations, lv.dim)
+    cav = channels.of_bath(BATH_CAVITY)
+    weights = cav.rate * p[cav.from_index] / np.pi
+    widths = 0.5 * (lv.out_rates[cav.from_index] + lv.out_rates[cav.to_index])
+    lit = weights != 0.0
     values = np.zeros_like(omegas)
-    for ch in channels:
-        if ch.bath != BATH_CAVITY or ch.rate == 0.0:
-            continue
-        width = 0.5 * (lv.out_rates[ch.from_index] + lv.out_rates[ch.to_index])
-        weight = ch.rate * populations[ch.from_index] / np.pi
-        values += weight * width / (width**2 + (omegas - ch.freq) ** 2)
+    # one line at a time: a (points x channels) array costs more memory than time
+    for weight, width, freq in zip(weights[lit].tolist(), widths[lit].tolist(),
+                                   cav.freq[lit].tolist()):
+        values += weight * width / (width**2 + (omegas - freq) ** 2)
     return Spectrum(omegas=omegas, values=values)
 
 
@@ -177,27 +189,24 @@ def window_capture(scale: float) -> float:
     return (2.0 / np.pi) * np.arctan(scale)
 
 
-def line_fluxes(basis: DressedBasis, channels, rho_ss: np.ndarray):
+def line_fluxes(basis: DressedBasis, channels, populations: np.ndarray):
     """Exact steady-state photon flux of each reported line.
 
     Every cavity channel emits rate * population of its upper level; the
     channels are grouped by emission frequency into the midpoint-bounded
-    windows of the three lines.  This is the master-equation flux that
-    the window-integrated spectrum estimates.
+    windows of the three lines, a channel on a shared edge going to the
+    lower line.  This is the master-equation flux that the
+    window-integrated spectrum estimates.
     """
-    windows = default_windows(basis)
-    fluxes = dict.fromkeys(windows, 0.0)
-    populations = {
-        k: basis.population(rho_ss, k)
-        for k in {ch.from_index for ch in channels if ch.bath == BATH_CAVITY}
-    }
-    for ch in channels:
-        if ch.bath != BATH_CAVITY:
-            continue
-        for name, win in windows.items():
-            if win.lo <= ch.freq <= win.hi:
-                fluxes[name] += ch.rate * populations[ch.from_index]
-                break
+    p = _check_populations(populations, basis.dim)
+    cav = channels.of_bath(BATH_CAVITY)
+    emitted = cav.rate * p[cav.from_index]
+    unclaimed = np.ones(len(cav), dtype=bool)
+    fluxes = {}
+    for name, win in default_windows(basis).items():
+        inside = unclaimed & (win.lo <= cav.freq) & (cav.freq <= win.hi)
+        fluxes[name] = float(emitted[inside].sum())
+        unclaimed &= ~inside
     return fluxes
 
 

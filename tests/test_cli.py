@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from channel_rows import find_channel
 from electrolum import SystemParams, build_space, build_system
 from electrolum.cli import (
     ConfigError,
@@ -13,7 +14,6 @@ from electrolum.cli import (
     run_sweep,
     validate_config,
 )
-from electrolum.dissipators import find_channel
 from electrolum.rabi import dressed_basis, hamiltonian
 from electrolum.ratemodel import analytic_el
 
@@ -196,8 +196,7 @@ class TestRunSweep:
             "methods": {"spectrum": False, "analytic": True},
         })
         system = build_system(config.params(mu=mu), n_max=3, mu_mode="absolute")
-        assert find_channel(system.channels, system.basis,
-                            basis.s_levels[0], basis.index_minus) > 0.0
+        assert find_channel(system.channels, basis.s_levels[0], basis.index_minus) > 0.0
         _, _, data = load_table(run_sweep(config, tmp_path))
         expected = analytic_el(0.1, config.gamma_in, config.gamma_cav)
         assert list(data[0, 1:]) == list(expected)

@@ -4,13 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
+from channel_rows import find_channel
 from electrolum.dissipators import (
     BATH_CAVITY,
+    BATH_IN,
+    BATH_OUT,
+    WEIGHT_CUT,
+    all_channels,
     channels_cavity,
     channels_in,
     channels_out,
-    find_channel,
+    extraction_operator,
     gate_open,
+    injection_operator,
     quadrature,
     x_pm,
 )
@@ -29,22 +35,22 @@ class TestCavityChannels:
         basis, space, _ = make_basis(0.0)
         chans = channels_cavity(basis, space, 7e-4)
         s1, s0 = basis.s_levels[1], basis.s_levels[0]
-        assert find_channel(chans, basis, s1, s0) == approx(7e-4)
+        assert find_channel(chans, s1, s0) == approx(7e-4)
 
     def test_polariton_rates_weak_coupling(self):
         # polaritons are half photon: each decays at gamma_cav / 2
         basis, space, _ = make_basis(1e-3)
         chans = channels_cavity(basis, space, 7e-4)
         for idx in (basis.index_plus, basis.index_minus):
-            rate = find_channel(chans, basis, idx, basis.index_ground)
+            rate = find_channel(chans, idx, basis.index_ground)
             assert rate == approx(7e-4 / 2, rel=1e-2)
 
     def test_polariton_rate_sum(self):
         eta = 0.1
         basis, space, _ = make_basis(eta)
         chans = channels_cavity(basis, space, 7e-4)
-        total = find_channel(chans, basis, basis.index_plus, basis.index_ground) \
-            + find_channel(chans, basis, basis.index_minus, basis.index_ground)
+        total = find_channel(chans, basis.index_plus, basis.index_ground) \
+            + find_channel(chans, basis.index_minus, basis.index_ground)
         assert total == approx(7e-4, rel=2 * eta**2)
 
     def test_emission_frequencies_positive(self):
@@ -58,7 +64,7 @@ class TestCavityChannels:
         basis, space, _ = make_basis(0.1)
         v = basis.states
         x = quadrature(space)
-        for ch in channels_cavity(basis, space, 7e-4)[:10]:
+        for ch in list(channels_cavity(basis, space, 7e-4))[:10]:
             element = v[:, ch.to_index].conj() @ x @ v[:, ch.from_index]
             assert ch.rate == approx(7e-4 * abs(element) ** 2, rel=1e-12)
             assert ch.freq == approx(basis.energies[ch.from_index]
@@ -70,15 +76,15 @@ class TestExtractionChannels:
         basis, space, _ = make_basis(0.0)
         chans = channels_out(basis, space, 0.5e-6)
         g = basis.index_ground
-        assert find_channel(chans, basis, g, basis.s_levels[0]) == approx(0.5e-6)
-        assert find_channel(chans, basis, g, basis.s_levels[1]) == approx(0.0)
+        assert find_channel(chans, g, basis.s_levels[0]) == approx(0.5e-6)
+        assert find_channel(chans, g, basis.s_levels[1]) == approx(0.0)
 
     def test_ground_state_photon_release(self):
         # extraction out of |G> leaves one photon with weight eta^2/4
         eta = 0.05
         basis, space, _ = make_basis(eta)
         chans = channels_out(basis, space, 1.0)
-        rate = find_channel(chans, basis, basis.index_ground, basis.s_levels[1])
+        rate = find_channel(chans, basis.index_ground, basis.s_levels[1])
         assert rate == approx(eta**2 / 4, rel=0.1)
 
     def test_polariton_extraction_half_half(self):
@@ -86,7 +92,7 @@ class TestExtractionChannels:
         chans = channels_out(basis, space, 1.0)
         for idx in (basis.index_plus, basis.index_minus):
             for n in (0, 1):
-                rate = find_channel(chans, basis, idx, basis.s_levels[n])
+                rate = find_channel(chans, idx, basis.s_levels[n])
                 assert rate == approx(0.5, rel=1e-2)
 
     @pytest.mark.parametrize("eta", [0.05, 0.1, 0.3])
@@ -104,14 +110,14 @@ class TestInjectionChannels:
         basis, space, _ = make_basis(0.05)
         chans = channels_in(basis, space, 1.0, mu=basis.omega_ground)
         s0 = basis.s_levels[0]
-        assert find_channel(chans, basis, s0, basis.index_ground) > 0
-        assert find_channel(chans, basis, s0, basis.index_plus) == 0.0
-        assert find_channel(chans, basis, s0, basis.index_minus) == 0.0
+        assert find_channel(chans, s0, basis.index_ground) > 0
+        assert find_channel(chans, s0, basis.index_plus) == 0.0
+        assert find_channel(chans, s0, basis.index_minus) == 0.0
 
     def test_ground_injection_unit_weight(self):
         basis, space, _ = make_basis(1e-3)
         chans = channels_in(basis, space, 1.0, mu=0.0)
-        rate = find_channel(chans, basis, basis.s_levels[0], basis.index_ground)
+        rate = find_channel(chans, basis.s_levels[0], basis.index_ground)
         assert rate == approx(1.0, rel=1e-5)
 
     def test_polariton_injection_half_each(self):
@@ -119,8 +125,8 @@ class TestInjectionChannels:
         mu = basis.omega_ground + basis.omega_plus
         chans = channels_in(basis, space, 1.0, mu=mu)
         s0 = basis.s_levels[0]
-        assert find_channel(chans, basis, s0, basis.index_plus) == approx(0.5, rel=1e-2)
-        assert find_channel(chans, basis, s0, basis.index_minus) == approx(0.5, rel=1e-2)
+        assert find_channel(chans, s0, basis.index_plus) == approx(0.5, rel=1e-2)
+        assert find_channel(chans, s0, basis.index_minus) == approx(0.5, rel=1e-2)
 
     def test_threshold_exactness(self):
         basis, space, _ = make_basis(0.1)
@@ -130,8 +136,8 @@ class TestInjectionChannels:
             threshold = basis.omega_ground + omega
             below = channels_in(basis, space, 1.0, mu=threshold - 2e-9)
             at = channels_in(basis, space, 1.0, mu=threshold)
-            assert find_channel(below, basis, s0, idx) == 0.0
-            assert find_channel(at, basis, s0, idx) > 0.0
+            assert find_channel(below, s0, idx) == 0.0
+            assert find_channel(at, s0, idx) > 0.0
 
     @given(
         mu_lo=st.floats(-0.2, 2.2),
@@ -152,16 +158,54 @@ class TestInjectionChannels:
         assert not gate_open(-1e-6)
 
 
+def loop_channels(basis, space, params):
+    """Channel rows built pair by pair: the reference for the vectorized table."""
+    e = basis.energies
+    v = basis.states
+    rows = []
+
+    def add(op, pairs, bare_rate, bath):
+        elems = v.conj().T @ op @ v
+        for j, i in pairs:
+            weight = abs(elems[i, j]) ** 2
+            if weight >= WEIGHT_CUT:
+                rows.append((int(j), int(i), bare_rate * weight, e[j] - e[i], bath))
+
+    add(quadrature(space), [(j, i) for j in range(basis.dim) for i in range(basis.dim)
+                            if e[j] > e[i]], params.gamma_cav, BATH_CAVITY)
+    add(extraction_operator(space), [(j, i) for j in basis.one_electron_indices()
+                                     for i in basis.s_levels], params.gamma_out, BATH_OUT)
+    e_s0 = e[basis.s_levels[0]]
+    add(injection_operator(space), [(j, i) for j in basis.s_levels
+                                    for i in basis.one_electron_indices()
+                                    if gate_open(params.mu + (e[j] - e_s0) - e[i])],
+        params.gamma_in, BATH_IN)
+    return rows
+
+
+class TestChannelTable:
+    @pytest.mark.parametrize("eta, mu, omega_s", [
+        (0.0, 0.0, 0.0), (0.1, 0.9, 0.0), (0.1, 2.05, 0.37), (0.3, 1.3, 0.0),
+    ])
+    def test_matches_pair_loops(self, eta, mu, omega_s):
+        # same rows in the same order; a rate may differ in its last bit,
+        # because an array squares by multiplication and a scalar by pow
+        basis, space, params = make_basis(eta, n_max=6, mu=mu, omega_s=omega_s)
+        table = list(all_channels(basis, space, params))
+        reference = loop_channels(basis, space, params)
+        assert [(r.from_index, r.to_index, r.freq, r.bath) for r in table] == \
+            [(j, i, freq, bath) for j, i, _, freq, bath in reference]
+        for row, ref in zip(table, reference):
+            assert row.rate == approx(ref[2], rel=4e-16, abs=0.0)
+
+
 class TestShiftInvariance:
     def test_rates_independent_of_empty_state_offset(self):
         def rate_map(omega_s):
             basis, space, params = make_basis(0.1, omega_s=omega_s, mu=0.3)
-            chans = (channels_cavity(basis, space, params.gamma_cav)
-                     + channels_out(basis, space, params.gamma_out)
-                     + channels_in(basis, space, params.gamma_in, params.mu))
             return {
                 (c.bath, basis.level_label(c.from_index), basis.level_label(c.to_index)):
-                c.rate for c in chans
+                c.rate for c in all_channels(basis, space, params)
             }
 
         reference = rate_map(0.0)

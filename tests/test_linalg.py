@@ -6,6 +6,7 @@ from scipy.integrate import solve_ivp
 
 from dense_oracle import null_vector
 from electrolum import SystemParams, build_system
+from electrolum.dissipators import BATH_CAVITY
 from electrolum.linalg import (
     LinalgError,
     NonHermitianError,
@@ -13,6 +14,7 @@ from electrolum.linalg import (
     eig_hermitian,
     stationary_distribution,
 )
+from electrolum.spectrum import default_windows
 
 
 def random_hermitian(n, rng):
@@ -120,6 +122,22 @@ class TestStationaryDistribution:
         p = stationary_distribution(m)
         assert np.min(p[p > 0]) < 1e-40
         assert_matches_exact(p, m)
+
+    def test_line_flux_carries_exact_populations(self):
+        # the central-line flux is a sum of rate x population over the
+        # cavity channels in its window; with the stationary populations
+        # carried through unchanged it matches exact arithmetic to the
+        # accuracy of the populations themselves
+        system = build_system(SystemParams.from_eta(0.1), n_max=12, mu_mode="omega_G")
+        exact = exact_stationary(system.lv.pauli_matrix, 120)
+        win = default_windows(system.basis)["central"]
+        with mpmath.workdps(120):
+            flux = mpmath.fsum(
+                mpmath.mpf(ch.rate) * exact[ch.from_index] for ch in system.channels
+                if ch.bath == BATH_CAVITY and win.lo <= ch.freq <= win.hi
+            )
+            computed = mpmath.mpf(system.line_fluxes()["central"])
+            assert abs(computed - flux) <= 1e-14 * flux
 
     def test_stiff_chain_against_exact_arithmetic(self):
         # rates from 1e-14 to 1 along a chain, with a slow link closing it

@@ -6,8 +6,9 @@ import scipy.linalg as sla
 from pytest import approx
 
 import dense_oracle
+from channel_rows import channel_table
 from electrolum import SystemParams, build_space, build_system
-from electrolum.dissipators import JumpChannel, channels_cavity
+from electrolum.dissipators import BATH_CAVITY, channels_cavity
 from electrolum.hilbert import number_photon
 from electrolum.liouvillian import (
     SteadyStateError,
@@ -39,10 +40,11 @@ def dressed(basis, rho):
 class TestGenerator:
     def test_stationary_eigenprojector_without_channels(self):
         h, basis, _ = small_basis()
-        lv = build_liouvillian(basis, [])
+        no_channels = channel_table([])
+        lv = build_liouvillian(basis, no_channels)
         assert lv.dim == basis.dim
         assert not lv.rates.any() and not lv.out_rates.any()
-        dense = dense_oracle.liouvillian(h, basis, [])
+        dense = dense_oracle.liouvillian(h, basis, no_channels)
         v = basis.state(1)
         drho = dense_oracle.apply(dense, np.outer(v, v.conj()))
         assert np.max(np.abs(drho)) == approx(0.0, abs=1e-14)
@@ -51,16 +53,15 @@ class TestGenerator:
         gamma = 0.2
         h, basis, _ = small_basis()
         i, j = 0, 3
-        ch = JumpChannel(from_index=j, to_index=i, rate=gamma,
-                         freq=basis.energies[j] - basis.energies[i], bath="cavity")
-        lv = build_liouvillian(basis, [ch])
+        ch = channel_table([(j, i, gamma, basis.energies[j] - basis.energies[i], BATH_CAVITY)])
+        lv = build_liouvillian(basis, ch)
         assert lv.pauli_matrix[j, j] == approx(-gamma)
         assert lv.pauli_matrix[i, j] == approx(gamma)
         assert lv.out_rates[j] == approx(gamma)
         # the dense generator applied to |j><j| moves population j -> i
         v = basis.state(j)
         drho = dressed(basis, dense_oracle.apply(
-            dense_oracle.liouvillian(h, basis, [ch]), np.outer(v, v.conj())))
+            dense_oracle.liouvillian(h, basis, ch), np.outer(v, v.conj())))
         assert np.real(drho[j, j]) == approx(-gamma)
         assert np.real(drho[i, i]) == approx(gamma)
 
@@ -105,8 +106,6 @@ class TestGenerator:
 
     def test_dimension_mismatch_rejected(self):
         system, dense = _reference_generator()
-        with pytest.raises(ValueError):
-            system.lv.populations(np.eye(system.lv.dim + 1))
         with pytest.raises(ValueError):
             dense_oracle.apply(dense, np.eye(system.lv.dim + 1))
 
@@ -160,7 +159,7 @@ class TestSteadyState:
         system = low_bias_system
         residual = dense_oracle.apply(dense_generator(system), system.rho_ss)
         assert np.max(np.abs(residual)) < 1e-9
-        p = system.lv.populations(system.rho_ss)
+        p = system.populations
         assert np.max(np.abs(system.lv.pauli_matrix @ p)) < 1e-14 * np.max(system.lv.out_rates)
 
     def test_physicality(self, low_bias_system):
@@ -169,7 +168,7 @@ class TestSteadyState:
 
     def test_no_injection_no_extraction_is_ambiguous(self):
         system = build_system(SystemParams.from_eta(0.1, mu=0.2), mu_mode="absolute")
-        cavity_only = [ch for ch in system.channels if ch.bath == "cavity"]
+        cavity_only = system.channels.of_bath(BATH_CAVITY)
         with pytest.raises(SteadyStateError):
             steady_state(build_liouvillian(system.basis, cavity_only))
         with pytest.raises(SteadyStateError):

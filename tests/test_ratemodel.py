@@ -6,13 +6,19 @@ from pytest import approx
 from scipy.integrate import solve_ivp
 
 from electrolum import SystemParams, build_system
+from channel_rows import find_channel
 from electrolum.linalg import NullSpaceError
 from electrolum.ratemodel import (
+    MINUS,
+    PLUS,
+    S0,
+    S1,
+    G,
     Populations,
-    RateSet,
     analytic_el,
     analytic_gse,
     extract_rates,
+    five_levels,
     fluxes,
     rate_matrix,
     rate_steady_state,
@@ -21,6 +27,14 @@ from electrolum.ratemodel import (
 REF_GAMMA = 0.5e-6
 REF_GAMMA_CAV = 7e-4
 
+# the fifteen transitions (to, from) of the five-level model: injection
+# from both empty states into the three one-electron levels, extraction
+# back, and the three photon losses
+INJECTION = [(to, frm) for frm in (S0, S1) for to in (G, PLUS, MINUS)]
+EXTRACTION = [(to, frm) for frm in (G, PLUS, MINUS) for to in (S0, S1)]
+CAVITY = [(S0, S1), (G, PLUS), (G, MINUS)]
+TRANSITIONS = INJECTION + EXTRACTION + CAVITY
+
 rate_values = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
 
 # rates for the stiff forward-integration oracle: either absent or well
@@ -28,44 +42,62 @@ rate_values = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
 ode_rate_values = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
 
 
-def random_rate_set(draw=None, **kwargs):
-    names = RateSet.__dataclass_fields__.keys()
-    return RateSet(**{name: kwargs.get(name, 0.0) for name in names})
+def rate_block(entries=None):
+    """5 x 5 block rates[to, from] with the given {(to, from): rate}, zero elsewhere."""
+    block = np.zeros((5, 5))
+    for (to, frm), rate in (entries or {}).items():
+        assert (to, frm) in TRANSITIONS
+        block[to, frm] = rate
+    return block
 
 
 @st.composite
-def rate_sets(draw, values=rate_values):
-    names = RateSet.__dataclass_fields__.keys()
-    return RateSet(**{name: draw(values) for name in names})
+def rate_blocks(draw, values=rate_values):
+    return rate_block({pair: draw(values) for pair in TRANSITIONS})
 
 
 class TestExtractRates:
     def test_low_bias_closes_direct_polariton_injection(self):
         system = build_system(SystemParams.from_eta(0.08), mu_mode="omega_G")
         rates = extract_rates(system.basis, system.channels)
-        assert rates.in_0_plus == 0.0
-        assert rates.in_0_minus == 0.0
-        assert rates.in_0_g > 0.0
+        assert rates[PLUS, S0] == 0.0
+        assert rates[MINUS, S0] == 0.0
+        assert rates[G, S0] > 0.0
 
     def test_weak_coupling_polariton_decay(self):
         system = build_system(SystemParams.from_eta(1e-3), mu_mode="omega_G")
         rates = extract_rates(system.basis, system.channels)
-        assert rates.cav_plus == approx(REF_GAMMA_CAV / 2, rel=1e-2)
-        assert rates.cav_minus == approx(REF_GAMMA_CAV / 2, rel=1e-2)
+        assert rates[G, PLUS] == approx(REF_GAMMA_CAV / 2, rel=1e-2)
+        assert rates[G, MINUS] == approx(REF_GAMMA_CAV / 2, rel=1e-2)
 
     def test_weak_coupling_ground_extraction_leaves_no_photon(self):
         system = build_system(SystemParams.from_eta(1e-3), mu_mode="omega_G")
         rates = extract_rates(system.basis, system.channels)
-        assert rates.out_g_1 <= REF_GAMMA * 1e-5
-        assert rates.out_g_0 == approx(REF_GAMMA, rel=1e-5)
+        assert rates[S1, G] <= REF_GAMMA * 1e-5
+        assert rates[S0, G] == approx(REF_GAMMA, rel=1e-5)
+
+    @pytest.mark.parametrize("name", ["low_bias_system", "high_bias_system"])
+    def test_block_holds_exactly_the_fifteen_channel_rates(self, name, request):
+        # the other in-block pairs vanish by electron number, energy
+        # order or parity (+ -> - through the cavity is parity-forbidden)
+        system = request.getfixturevalue(name)
+        levels = five_levels(system.basis)
+        rates = extract_rates(system.basis, system.channels)
+        for to in range(5):
+            for frm in range(5):
+                expected = find_channel(system.channels, levels[frm], levels[to])
+                assert rates[to, frm] == expected
+                if (to, frm) not in TRANSITIONS:
+                    assert expected == 0.0, (to, frm)
+        assert rates[G, S0] > 0 and rates[S0, S1] > 0 and rates[G, PLUS] > 0
 
 
 class TestRateMatrix:
     def test_all_zero(self):
-        m = rate_matrix(random_rate_set())
+        m = rate_matrix(rate_block())
         assert np.max(np.abs(m)) == 0.0
 
-    @given(rates=rate_sets())
+    @given(rates=rate_blocks())
     @settings(max_examples=50, deadline=None)
     def test_generator_structure(self, rates):
         m = rate_matrix(rates)
@@ -76,34 +108,39 @@ class TestRateMatrix:
     def test_matches_displayed_balance_equations(self, rng):
         # independent oracle: the five balance equations written out
         # term by term
-        rates = RateSet(
-            in_0_g=1.1, in_1_g=0.2, in_1_plus=0.3, in_1_minus=0.4,
-            in_0_plus=0.05, in_0_minus=0.06,
-            out_g_0=0.7, out_g_1=0.8, out_plus_0=0.9, out_plus_1=1.0,
-            out_minus_0=1.1, out_minus_1=1.2,
-            cav=2.0, cav_plus=2.1, cav_minus=2.2,
-        )
+        rates = rate_block({
+            (G, S0): 1.1, (G, S1): 0.2, (PLUS, S1): 0.3, (MINUS, S1): 0.4,
+            (PLUS, S0): 0.05, (MINUS, S0): 0.06,
+            (S0, G): 0.7, (S1, G): 0.8, (S0, PLUS): 0.9, (S1, PLUS): 1.0,
+            (S0, MINUS): 1.1, (S1, MINUS): 1.2,
+            (S0, S1): 2.0, (G, PLUS): 2.1, (G, MINUS): 2.2,
+        })
         m = rate_matrix(rates)
         p = rng.uniform(0.0, 1.0, 5)
         p_s0, p_s1, p_g, p_p, p_m = p
+        in_s0 = rates[G, S0] + rates[PLUS, S0] + rates[MINUS, S0]
+        in_s1 = rates[G, S1] + rates[PLUS, S1] + rates[MINUS, S1]
+        out_g = rates[S0, G] + rates[S1, G]
+        out_plus = rates[S0, PLUS] + rates[S1, PLUS]
+        out_minus = rates[S0, MINUS] + rates[S1, MINUS]
         expected = np.array([
-            -p_s0 * rates.in_s0 + p_g * rates.out_g_0
-            + p_p * rates.out_plus_0 + p_m * rates.out_minus_0
-            + p_s1 * rates.cav,
-            -p_s1 * (rates.cav + rates.in_s1) + p_g * rates.out_g_1
-            + p_p * rates.out_plus_1 + p_m * rates.out_minus_1,
-            -p_g * rates.out_g + p_s0 * rates.in_0_g + p_s1 * rates.in_1_g
-            + p_p * rates.cav_plus + p_m * rates.cav_minus,
-            -p_p * (rates.cav_plus + rates.out_plus) + p_s1 * rates.in_1_plus
-            + p_s0 * rates.in_0_plus,
-            -p_m * (rates.cav_minus + rates.out_minus) + p_s1 * rates.in_1_minus
-            + p_s0 * rates.in_0_minus,
+            -p_s0 * in_s0 + p_g * rates[S0, G]
+            + p_p * rates[S0, PLUS] + p_m * rates[S0, MINUS]
+            + p_s1 * rates[S0, S1],
+            -p_s1 * (rates[S0, S1] + in_s1) + p_g * rates[S1, G]
+            + p_p * rates[S1, PLUS] + p_m * rates[S1, MINUS],
+            -p_g * out_g + p_s0 * rates[G, S0] + p_s1 * rates[G, S1]
+            + p_p * rates[G, PLUS] + p_m * rates[G, MINUS],
+            -p_p * (rates[G, PLUS] + out_plus) + p_s1 * rates[PLUS, S1]
+            + p_s0 * rates[PLUS, S0],
+            -p_m * (rates[G, MINUS] + out_minus) + p_s1 * rates[MINUS, S1]
+            + p_s0 * rates[MINUS, S0],
         ])
         assert m @ p == approx(expected)
 
     def test_extraction_feeds_one_photon_state(self):
-        rates = random_rate_set(out_g_1=0.8)
-        assert rate_matrix(rates)[1, 2] == approx(0.8)
+        rates = rate_block({(S1, G): 0.8})
+        assert rate_matrix(rates)[S1, G] == approx(0.8)
 
 
 class TestRateSteadyState:
@@ -130,7 +167,7 @@ class TestRateSteadyState:
         assert pops.s0 == approx(1 / 3, rel=1e-3)
         assert pops.g == approx(2 / 3, rel=1e-3)
 
-    @given(rates=rate_sets(values=ode_rate_values), seed=st.integers(0, 2**31))
+    @given(rates=rate_blocks(values=ode_rate_values), seed=st.integers(0, 2**31))
     @settings(max_examples=10, deadline=None)
     def test_agrees_with_forward_integration(self, rates, seed):
         m = rate_matrix(rates)
@@ -150,7 +187,7 @@ class TestRateSteadyState:
 
     def test_degenerate_kernel_rejected(self):
         with pytest.raises(NullSpaceError):
-            rate_steady_state(rate_matrix(random_rate_set()))
+            rate_steady_state(rate_matrix(rate_block()))
 
     def test_populations_validate(self):
         with pytest.raises(ValueError):
@@ -160,7 +197,7 @@ class TestRateSteadyState:
 class TestFluxes:
     def test_no_photon_population_no_central_flux(self):
         pops = Populations(s0=0.5, s1=0.0, g=0.5, plus=0.0, minus=0.0)
-        rates = random_rate_set(cav=1.0, cav_plus=0.5, cav_minus=0.5)
+        rates = rate_block({(S0, S1): 1.0, (G, PLUS): 0.5, (G, MINUS): 0.5})
         f_c, f_p, f_m = fluxes(pops, rates)
         assert f_c == 0.0 and f_p == 0.0 and f_m == 0.0
 

@@ -9,7 +9,9 @@ from electrolum.spectrum import (
     Spectrum,
     default_windows,
     emission_line_centers,
+    emission_spectrum,
     integrate_peak,
+    line_fluxes,
     line_windows,
     quadrature_moment,
     total_emission,
@@ -52,6 +54,15 @@ class TestEmissionSpectrum:
 
     def test_stationary_state_gives_real_finite_values(self, low_bias_spectrum):
         assert np.all(np.isfinite(low_bias_spectrum.values))
+
+    def test_density_operator_in_place_of_populations_rejected(self, low_bias_system):
+        system = low_bias_system
+        grid = np.linspace(0.9, 1.1, 11)
+        for wrong in (system.rho_ss, system.populations[:-1]):
+            with pytest.raises(ValueError, match="populations"):
+                emission_spectrum(system.lv, wrong, system.channels, grid)
+            with pytest.raises(ValueError, match="populations"):
+                line_fluxes(system.basis, system.channels, wrong)
 
     def test_grid_must_ascend(self):
         with pytest.raises(ValueError):
