@@ -32,7 +32,6 @@ from .dissipators import gate_open
 from .hilbert import SystemParams
 from .linalg import LinalgError
 from .pipeline import MU_MODES, build_system
-from .rabi import SectorMixingError
 from .spectrum import (
     integrate_peak,
     line_windows,
@@ -390,7 +389,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 1
-    except (LinalgError, SectorMixingError) as err:
+    except LinalgError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
     print(path)

@@ -20,8 +20,10 @@ emission intensities, which is how it is validated in the tests.
 Gate arguments are built from energy differences within each sector, so
 every rate is invariant under a global shift of the empty-state energy.
 
-The channels of a system form one :class:`ChannelTable` of parallel
-arrays, selected with masks over the dressed matrix elements.
+The dressed elements are read off the parity-chain eigenvectors of the
+basis (:mod:`electrolum.rabi`), with no dense operator products, and the
+channels of a system form one :class:`ChannelTable` of parallel arrays,
+selected with masks over those elements.
 """
 
 from __future__ import annotations
@@ -31,11 +33,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import ModelSpace, annihilation, transition
+from .hilbert import ModelSpace
 from .rabi import DressedBasis
 
-# Squared matrix elements below this are dropped: they are numerical
-# zeros of LAPACK eigenvectors, not physical channels.
+# Squared matrix elements below this are dropped.  Parity and electron
+# number make the forbidden elements exactly zero, so what the cut drops
+# are allowed elements too weak to matter at the run's precision, e.g.
+# the 5e-22 "plus" line at eta 0.8, n_max 12.  Whether such lines change
+# a converged result is the cutoff question of ROADMAP item 3.
 WEIGHT_CUT = 1e-14
 
 # Slack for the threshold comparison: Theta(0) = 1 must survive floating
@@ -103,20 +108,14 @@ def gate_open(argument, tol: float = GATE_TOL):
     return argument >= -tol
 
 
-def _dressed_elements(op: np.ndarray, basis: DressedBasis) -> np.ndarray:
-    """Matrix of <i| op |j> over the dressed eigenbasis."""
-    v = basis.states
-    return v.conj().T @ op @ v
-
-
-def _channels(basis: DressedBasis, op: np.ndarray, allowed: np.ndarray,
+def _channels(basis: DressedBasis, elements: np.ndarray, allowed: np.ndarray,
               bare_rate: float, bath: str) -> ChannelTable:
-    """Channels j -> i of rate bare_rate |<i|op|j>|^2 wherever allowed[i, j].
+    """Channels j -> i of rate bare_rate elements[i, j]^2 wherever allowed[i, j].
 
     Elements below the weight cut are dropped.  Rows are ordered by
     from-level, then by to-level.
     """
-    weight = np.abs(_dressed_elements(op, basis)) ** 2
+    weight = elements**2
     j, i = np.nonzero((allowed & (weight >= WEIGHT_CUT)).T)
     e = basis.energies
     return ChannelTable(from_index=j, to_index=i, rate=bare_rate * weight[i, j],
@@ -129,30 +128,50 @@ def _downward(basis: DressedBasis) -> np.ndarray:
     return e[None, :] > e[:, None]
 
 
-def quadrature(space: ModelSpace) -> np.ndarray:
-    a = annihilation(space)
-    return a + a.conj().T
+def quadrature_elements(basis: DressedBasis) -> np.ndarray:
+    """<i|X|j> over the dressed levels, X = a + a^dagger.
+
+    X keeps the electronic label and moves the photon number by one, so
+    it is the bare ladder sqrt(max(k, k')) among the empty levels and
+    maps site k of one parity chain onto sites k +- 1 of the other:
+    V_odd^T X_chain V_even.  Every other element is exactly zero.
+    """
+    hop = np.sqrt(np.arange(1.0, basis.space.n_photon))
+    ladder = np.diag(hop, 1) + np.diag(hop, -1)
+    (even, v_even), (odd, v_odd) = basis.chains
+    s = list(basis.s_levels)
+    x = np.zeros((basis.dim, basis.dim))
+    x[np.ix_(s, s)] = ladder
+    x[np.ix_(odd, even)] = v_odd.T @ (ladder @ v_even)
+    x[np.ix_(even, odd)] = x[np.ix_(odd, even)].T
+    return x
 
 
-def injection_operator(space: ModelSpace) -> np.ndarray:
-    return transition(space, "s", "g") + transition(space, "s", "e")
+def injection_elements(basis: DressedBasis) -> np.ndarray:
+    """<i|O_in|j> over the dressed levels; the extraction elements are its transpose.
 
-
-def extraction_operator(space: ModelSpace) -> np.ndarray:
-    return transition(space, "g", "s") + transition(space, "e", "s")
+    O_in takes |s,n> to |g,n> + |e,n>, and exactly one of the two is
+    site n of each parity chain, so the element from |s,n> to a chain
+    level is the entry of its chain eigenvector at site n.
+    """
+    o = np.zeros((basis.dim, basis.dim))
+    for levels, vectors in basis.chains:
+        o[np.ix_(levels, list(basis.s_levels))] = vectors.T
+    return o
 
 
 def channels_cavity(basis: DressedBasis, space: ModelSpace,
                     gamma_cav: float) -> ChannelTable:
     """One zero-temperature photon channel per energy-decreasing pair."""
-    return _channels(basis, quadrature(space), _downward(basis), gamma_cav, BATH_CAVITY)
+    return _channels(basis, quadrature_elements(basis), _downward(basis), gamma_cav,
+                     BATH_CAVITY)
 
 
 def channels_out(basis: DressedBasis, space: ModelSpace,
                  gamma_out: float) -> ChannelTable:
     """Extraction from every one-electron level into every |s,n>; no gate."""
     allowed = np.outer(basis.sector == 0, basis.sector == 1)
-    return _channels(basis, extraction_operator(space), allowed, gamma_out, BATH_OUT)
+    return _channels(basis, injection_elements(basis).T, allowed, gamma_out, BATH_OUT)
 
 
 def channels_in(basis: DressedBasis, space: ModelSpace, gamma_in: float,
@@ -167,7 +186,7 @@ def channels_in(basis: DressedBasis, space: ModelSpace, gamma_in: float,
     photon_energy = e - e[basis.s_levels[0]]
     allowed = (np.outer(basis.sector == 1, basis.sector == 0)
                & gate_open(mu + photon_energy[None, :] - e[:, None]))
-    return _channels(basis, injection_operator(space), allowed, gamma_in, BATH_IN)
+    return _channels(basis, injection_elements(basis), allowed, gamma_in, BATH_IN)
 
 
 def all_channels(basis: DressedBasis, space: ModelSpace, params) -> ChannelTable:
@@ -186,7 +205,7 @@ def x_pm(basis: DressedBasis, space: ModelSpace):
     bare basis.  X^- + X^+ differs from X only on degenerate pairs and
     the diagonal, both of which carry zero quadrature weight here.
     """
-    lower = np.where(_downward(basis), _dressed_elements(quadrature(space), basis), 0.0)
+    lower = np.where(_downward(basis), quadrature_elements(basis), 0.0)
     v = basis.states
-    x_minus = v @ lower @ v.conj().T
-    return x_minus, x_minus.conj().T
+    x_minus = v @ lower @ v.T
+    return x_minus, x_minus.T

@@ -1,4 +1,4 @@
-"""Composite Hilbert space {|s>, |g>, |e>} x Fock(n_max) and bare operators.
+"""Composite Hilbert space {|s>, |g>, |e>} x Fock(n_max) and the system parameters.
 
 Conventions, used everywhere in the package:
 
@@ -56,10 +56,17 @@ class ModelSpace:
             raise ValueError(f"flat index {k} outside [0, {self.dim})")
         return ELECTRONIC_LABELS[k // self.n_photon], k % self.n_photon
 
-    def basis_state(self, label: str, n: int) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=complex)
-        v[self.index(label, n)] = 1.0
-        return v
+    def chain_sites(self, parity: int) -> np.ndarray:
+        """Flat indices of the sites of excitation-parity chain ``parity``.
+
+        Site k holds k photons, on |g> when k + parity is even and on |e>
+        otherwise: |g,0>, |e,1>, |g,2>, ... for parity 0 and |e,0>,
+        |g,1>, |e,2>, ... for parity 1.
+        """
+        k = np.arange(self.n_photon)
+        label = np.where((k + parity) % 2 == 0, ELECTRONIC_LABELS.index("g"),
+                         ELECTRONIC_LABELS.index("e"))
+        return label * self.n_photon + k
 
 
 def build_space(n_max: int) -> ModelSpace:
@@ -107,43 +114,3 @@ class SystemParams:
         """Resonant parameter set with coupling given as eta = Omega_R / omega_c."""
         omega_c = kwargs.pop("omega_c", 1.0)
         return cls(rabi=eta * omega_c, omega_c=omega_c, **kwargs)
-
-
-def annihilation(space: ModelSpace) -> np.ndarray:
-    """Photon annihilation a (identity on the electronic label)."""
-    ladder = np.diag(np.sqrt(np.arange(1, space.n_photon, dtype=float)), k=1)
-    return np.kron(np.eye(3), ladder).astype(complex)
-
-
-def transition(space: ModelSpace, from_label: str, to_label: str) -> np.ndarray:
-    """Electronic transition |to><from| tensored with the photon identity."""
-    for label in (from_label, to_label):
-        if label not in ELECTRONIC_LABELS:
-            raise ValueError(f"unknown electronic label {label!r}")
-    el = np.zeros((3, 3), dtype=complex)
-    el[ELECTRONIC_LABELS.index(to_label), ELECTRONIC_LABELS.index(from_label)] = 1.0
-    return np.kron(el, np.eye(space.n_photon, dtype=complex))
-
-
-def number_electron(space: ModelSpace) -> np.ndarray:
-    """Electron number: 0 on |s,n>, 1 on |g,n> and |e,n>."""
-    return transition(space, "g", "g") + transition(space, "e", "e")
-
-
-def number_photon(space: ModelSpace) -> np.ndarray:
-    """Photon number a^dagger a."""
-    a = annihilation(space)
-    return a.conj().T @ a
-
-
-def parity(space: ModelSpace) -> np.ndarray:
-    """Excitation parity exp(i pi (a^dagger a + |e><e|)), diagonal in the bare basis.
-
-    Conserved by the coupled Hamiltonian; used to resolve dressed-level
-    ties and to explain which quadrature matrix elements vanish.
-    """
-    diag = np.empty(space.dim)
-    for k in range(space.dim):
-        label, n = space.unindex(k)
-        diag[k] = (-1.0) ** (n + (1 if label == "e" else 0))
-    return np.diag(diag).astype(complex)

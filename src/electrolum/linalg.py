@@ -1,23 +1,17 @@
-"""Linear-algebra contracts used by the other modules, in plain numpy.
+"""Stationary state of a rate generator, in plain numpy.
 
-Two entry points, each checking its input before computing anything:
-
-* ``eig_hermitian`` checks Hermiticity before calling ``numpy.linalg.eigh``;
-* ``stationary_distribution`` checks that a real matrix is a rate
-  generator and that its stationary state is unique, then solves for it
-  by GTH state reduction, which is accurate entry by entry however far
-  the rates and populations spread.
-
-Tolerances are relative to the input scale: the largest entry of the
-matrix (floored at 1e-14 for the Hermiticity check), so the contracts
-behave the same for rate-scaled (~1e-6) and order-one matrices.
+``stationary_distribution`` checks that a real matrix is a rate
+generator and that its stationary state is unique, then solves for it
+by GTH state reduction, which is accurate entry by entry however far
+the rates and populations spread.  The generator check is relative to
+the largest entry, so it behaves the same for rate-scaled (~1e-6) and
+order-one matrices.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-ABS_FLOOR = 1e-14
 # column sums of a rate generator must vanish to this fraction of its
 # largest entry (round-off of a D-term sum is D * 1.1e-16)
 GENERATOR_RTOL = 1e-12
@@ -27,46 +21,8 @@ class LinalgError(ValueError):
     """Base class for contract violations in this module."""
 
 
-class NonHermitianError(LinalgError):
-    """Input promised to be Hermitian is not (or is not square)."""
-
-
 class NullSpaceError(LinalgError):
     """Kernel dimension is not one."""
-
-
-def _as_square_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise LinalgError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def hermiticity_defect(m) -> float:
-    """Largest entry of ``M - M^dagger`` (absolute value)."""
-    a = _as_square_matrix(m)
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-
-
-def eig_hermitian(m, rtol: float = 1e-12):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real and
-    ascending and eigenvectors as orthonormal columns.
-
-    Raises NonHermitianError if the input is not square or departs from
-    Hermiticity by more than ``rtol * max|entry|`` (floored at 1e-14).
-    """
-    a = _as_square_matrix(m)
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    tol = max(rtol * scale, ABS_FLOOR)
-    defect = hermiticity_defect(a)
-    if defect > tol:
-        raise NonHermitianError(
-            f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol:.3e}"
-        )
-    vals, vecs = np.linalg.eigh(a)
-    return vals, vecs
 
 
 def _closure(step: np.ndarray) -> np.ndarray:

@@ -81,9 +81,9 @@ def steady_state(lv: SecularGenerator) -> np.ndarray:
 
 
 def density_operator(lv: SecularGenerator, populations: np.ndarray) -> np.ndarray:
-    """V diag(p) V^dagger: the state with dressed populations p, in the bare basis."""
-    rho = (lv.states * populations) @ lv.states.conj().T
-    return 0.5 * (rho + rho.conj().T)
+    """V diag(p) V^T: the state with dressed populations p, in the bare basis."""
+    rho = (lv.states * populations) @ lv.states.T
+    return 0.5 * (rho + rho.T)
 
 
 def check_density_operator(rho: np.ndarray, herm_tol=1e-10, trace_tol=1e-10,

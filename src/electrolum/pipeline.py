@@ -34,7 +34,7 @@ from .liouvillian import (
     density_operator,
     steady_state,
 )
-from .rabi import DressedBasis, dressed_basis, hamiltonian
+from .rabi import BlockHamiltonian, DressedBasis, dressed_basis, hamiltonian
 
 MU_MODES = ("absolute", "omega_G", "omega_G_plus_omega_plus")
 DEFAULT_N_MAX = 8
@@ -59,7 +59,7 @@ class DressedSystem:
 
     params: SystemParams  # with mu already resolved to a number
     space: ModelSpace
-    h: np.ndarray
+    h: BlockHamiltonian  # empty-site energies and the two parity chains
     basis: DressedBasis
     channels: dissipators.ChannelTable
     lv: SecularGenerator

@@ -1,7 +1,10 @@
-"""Dense Lindblad generator: the reference the secular production path is tested against.
+"""Dense references the production path is tested against.
 
-Everything here works on the full D^2 x D^2 superoperator in the bare
-basis and makes no use of the block structure the package exploits.
+The bare operators and the Hamiltonian are built here as dense complex
+matrices from Kronecker products, with no use of the parity chains the
+package diagonalizes.  The Lindblad generator works on the full
+D^2 x D^2 superoperator in the bare basis and makes no use of the block
+structure the package exploits.
 Each jump operator is rebuilt from the columns of ``basis.states`` as
 |to><from|; nothing is read from ``SecularGenerator``.  The kernel is
 taken with an SVD (``null_vector``), not with the production GTH
@@ -18,8 +21,91 @@ import warnings
 import numpy as np
 import scipy.linalg as sla
 
+from electrolum.hilbert import ELECTRONIC_LABELS
 from electrolum.liouvillian import SteadyStateError
-from electrolum.linalg import ABS_FLOOR, LinalgError, NullSpaceError
+from electrolum.linalg import LinalgError, NullSpaceError
+
+# absolute floor of the kernel tolerances of null_vector
+ABS_FLOOR = 1e-14
+
+
+def basis_state(space, label: str, n: int) -> np.ndarray:
+    v = np.zeros(space.dim, dtype=complex)
+    v[space.index(label, n)] = 1.0
+    return v
+
+
+def annihilation(space) -> np.ndarray:
+    """Photon annihilation a (identity on the electronic label)."""
+    ladder = np.diag(np.sqrt(np.arange(1, space.n_photon, dtype=float)), k=1)
+    return np.kron(np.eye(3), ladder).astype(complex)
+
+
+def transition(space, from_label: str, to_label: str) -> np.ndarray:
+    """Electronic transition |to><from| tensored with the photon identity."""
+    for label in (from_label, to_label):
+        if label not in ELECTRONIC_LABELS:
+            raise ValueError(f"unknown electronic label {label!r}")
+    el = np.zeros((3, 3), dtype=complex)
+    el[ELECTRONIC_LABELS.index(to_label), ELECTRONIC_LABELS.index(from_label)] = 1.0
+    return np.kron(el, np.eye(space.n_photon, dtype=complex))
+
+
+def number_electron(space) -> np.ndarray:
+    """Electron number: 0 on |s,n>, 1 on |g,n> and |e,n>."""
+    return transition(space, "g", "g") + transition(space, "e", "e")
+
+
+def number_photon(space) -> np.ndarray:
+    """Photon number a^dagger a."""
+    a = annihilation(space)
+    return a.conj().T @ a
+
+
+def parity(space) -> np.ndarray:
+    """Excitation parity exp(i pi (a^dagger a + |e><e|)), diagonal in the bare basis."""
+    diag = np.empty(space.dim)
+    for k in range(space.dim):
+        label, n = space.unindex(k)
+        diag[k] = (-1.0) ** (n + (1 if label == "e" else 0))
+    return np.diag(diag).astype(complex)
+
+
+def quadrature(space) -> np.ndarray:
+    a = annihilation(space)
+    return a + a.conj().T
+
+
+def injection_operator(space) -> np.ndarray:
+    return transition(space, "s", "g") + transition(space, "s", "e")
+
+
+def extraction_operator(space) -> np.ndarray:
+    return transition(space, "g", "s") + transition(space, "e", "s")
+
+
+def hamiltonian(params, space) -> np.ndarray:
+    """H = omega_c a+a + omega_e |e><e| - omega_s |s><s| + rabi (a + a+)(|e><g| + |g><e|)."""
+    a = annihilation(space)
+    x = a + a.conj().T
+    sigma = transition(space, "g", "e") + transition(space, "e", "g")
+    return (
+        params.omega_c * (a.conj().T @ a)
+        + params.omega_e * transition(space, "e", "e")
+        - params.omega_s * transition(space, "s", "s")
+        + params.rabi * (x @ sigma)
+    )
+
+
+def assemble(h, space) -> np.ndarray:
+    """A block-form Hamiltonian of the package as a dense matrix in the bare basis."""
+    m = np.zeros((space.dim, space.dim))
+    empty = [space.index("s", n) for n in range(space.n_photon)]
+    m[empty, empty] = h.empty
+    for p, (diag, off) in enumerate(h.chains):
+        sites = space.chain_sites(p)
+        m[np.ix_(sites, sites)] = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    return m
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -66,7 +152,8 @@ def liouvillian(h: np.ndarray, basis, channels) -> np.ndarray:
 
 
 def system_liouvillian(system) -> np.ndarray:
-    return liouvillian(system.h, system.basis, system.channels)
+    return liouvillian(hamiltonian(system.params, system.space), system.basis,
+                       system.channels)
 
 
 def apply(mat: np.ndarray, rho: np.ndarray) -> np.ndarray:

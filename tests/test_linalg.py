@@ -9,55 +9,10 @@ from electrolum import SystemParams, build_system
 from electrolum.dissipators import BATH_CAVITY
 from electrolum.linalg import (
     LinalgError,
-    NonHermitianError,
     NullSpaceError,
-    eig_hermitian,
     stationary_distribution,
 )
 from electrolum.spectrum import default_windows
-
-
-def random_hermitian(n, rng):
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.5 * (a + a.conj().T)
-
-
-class TestEigHermitian:
-    def test_identity(self):
-        vals, vecs = eig_hermitian(np.eye(2))
-        assert vals == approx([1.0, 1.0])
-        assert vecs.conj().T @ vecs == approx(np.eye(2))
-
-    def test_pauli_x(self):
-        vals, vecs = eig_hermitian(np.array([[0, 1], [1, 0]], dtype=complex))
-        assert vals == approx([-1.0, 1.0])
-        for k, sign in enumerate((-1, 1)):
-            expected = np.array([1.0, sign]) / np.sqrt(2)
-            overlap = abs(np.vdot(expected, vecs[:, k]))
-            assert overlap == approx(1.0, abs=1e-12)
-
-    def test_scaled_pauli_x(self):
-        g = 0.1
-        vals, _ = eig_hermitian(np.array([[0, g], [g, 0]]))
-        assert vals == approx([-g, g])
-
-    def test_rejects_non_square(self):
-        with pytest.raises(Exception, match="square"):
-            eig_hermitian(np.ones((2, 3)))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitianError):
-            eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    @pytest.mark.parametrize("dim", [2, 27, 120, 800])
-    def test_reconstruction(self, dim, rng):
-        m = random_hermitian(dim, rng)
-        vals, vecs = eig_hermitian(m)
-        rebuilt = (vecs * vals) @ vecs.conj().T
-        rel = np.linalg.norm(rebuilt - m) / np.linalg.norm(m)
-        assert rel < 1e-9
-        assert np.all(np.diff(vals) >= 0)
-        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(dim))) < 1e-10
 
 
 def generator(rates):
