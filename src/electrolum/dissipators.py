@@ -33,7 +33,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import ModelSpace
 from .rabi import DressedBasis
 
 # Squared matrix elements below this are dropped.  Parity and electron
@@ -160,22 +159,19 @@ def injection_elements(basis: DressedBasis) -> np.ndarray:
     return o
 
 
-def channels_cavity(basis: DressedBasis, space: ModelSpace,
-                    gamma_cav: float) -> ChannelTable:
+def channels_cavity(basis: DressedBasis, gamma_cav: float) -> ChannelTable:
     """One zero-temperature photon channel per energy-decreasing pair."""
     return _channels(basis, quadrature_elements(basis), _downward(basis), gamma_cav,
                      BATH_CAVITY)
 
 
-def channels_out(basis: DressedBasis, space: ModelSpace,
-                 gamma_out: float) -> ChannelTable:
+def channels_out(basis: DressedBasis, gamma_out: float) -> ChannelTable:
     """Extraction from every one-electron level into every |s,n>; no gate."""
     allowed = np.outer(basis.sector == 0, basis.sector == 1)
     return _channels(basis, injection_elements(basis).T, allowed, gamma_out, BATH_OUT)
 
 
-def channels_in(basis: DressedBasis, space: ModelSpace, gamma_in: float,
-                mu: float) -> ChannelTable:
+def channels_in(basis: DressedBasis, gamma_in: float, mu: float) -> ChannelTable:
     """Injection |s,n> -> |i>, open only when mu + n*omega_c reaches the level.
 
     The photon energy n*omega_c is taken as E_{s,n} - E_{s,0} and the
@@ -189,16 +185,16 @@ def channels_in(basis: DressedBasis, space: ModelSpace, gamma_in: float,
     return _channels(basis, injection_elements(basis), allowed, gamma_in, BATH_IN)
 
 
-def all_channels(basis: DressedBasis, space: ModelSpace, params) -> ChannelTable:
+def all_channels(basis: DressedBasis, params) -> ChannelTable:
     """Cavity, extraction, and injection channels for one parameter set."""
     return ChannelTable.concat((
-        channels_cavity(basis, space, params.gamma_cav),
-        channels_out(basis, space, params.gamma_out),
-        channels_in(basis, space, params.gamma_in, params.mu),
+        channels_cavity(basis, params.gamma_cav),
+        channels_out(basis, params.gamma_out),
+        channels_in(basis, params.gamma_in, params.mu),
     ))
 
 
-def x_pm(basis: DressedBasis, space: ModelSpace):
+def x_pm(basis: DressedBasis):
     """Energy-ordered split of the quadrature: X^- lowers, X^+ = (X^-)^dagger.
 
     X^- = sum_{E_j > E_i} <i|X|j> |i><j|, returned as matrices in the

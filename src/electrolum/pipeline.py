@@ -72,7 +72,7 @@ class DressedSystem:
 
     @property
     def x_pm(self):
-        return dissipators.x_pm(self.basis, self.space)
+        return dissipators.x_pm(self.basis)
 
     def line_fluxes(self):
         return spectrum_mod.line_fluxes(self.basis, self.channels, self.populations)
@@ -105,7 +105,7 @@ def build_system(params: SystemParams, n_max: int = DEFAULT_N_MAX,
     basis = dressed_basis(h, space)
     mu = resolve_mu(mu_mode, basis, absolute=params.mu)
     params = replace(params, mu=mu)
-    channels = dissipators.all_channels(basis, space, params)
+    channels = dissipators.all_channels(basis, params)
     lv = build_liouvillian(basis, channels)
     return DressedSystem(
         params=params,

@@ -137,7 +137,7 @@ def dressed_basis(h: BlockHamiltonian, space: ModelSpace) -> DressedBasis:
 
     sector = (block[order] > 0).astype(int)
     index_ground, index_minus, index_plus = _order_low_triplet(
-        np.flatnonzero(sector == 1), energies[order], block[order], photons[order])
+        np.flatnonzero(sector == 1), energies[order], photons[order])
     return DressedBasis(
         space=space,
         energies=energies[order],
@@ -151,15 +151,15 @@ def dressed_basis(h: BlockHamiltonian, space: ModelSpace) -> DressedBasis:
     )
 
 
-def _order_low_triplet(one_el, energies, block, photons):
+def _order_low_triplet(one_el, energies, photons):
     """Indices of G, -, + with a deterministic tie-break at degeneracy.
 
-    Levels are taken in ascending energy.  If the doublet is degenerate
-    (only at zero coupling), the even-parity state is assigned to `-`
-    first; if parity also ties, the state with lower photon-number
-    expectation comes first.
+    Levels are taken in ascending energy.  The doublet is degenerate
+    only at zero coupling with omega_e = omega_c, where its states
+    |e,0> and |g,1> both lie in the odd chain; the one with the lower
+    photon-number expectation is then assigned to `-`.
     """
     ground, second, third = one_el[:3]
     if abs(energies[third] - energies[second]) < DEGENERACY_TOL:
-        second, third = sorted((second, third), key=lambda k: (block[k], photons[k]))
+        second, third = sorted((second, third), key=lambda k: photons[k])
     return ground, second, third

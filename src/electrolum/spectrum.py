@@ -15,9 +15,9 @@ rotates at E_j - E_i.  The resolvent is then exact in closed form: one
 Lorentzian per cavity channel j -> i, of weight gamma_cav |x_ij|^2 p_j
 (the channel's rate times its upper population).  X- rho_ss has no
 stationary component, so the coherent term Tr[X+ rho]Tr[X- rho] is
-exactly zero here.  Lines are exact at every grid point, with no
-windowing artifacts; the time-domain transform is kept only as a test
-oracle.
+exactly zero here.  Lines and their window integrals (:func:`window_fluxes`)
+are exact, with no grid artifacts; the time-domain transform is kept
+only as a test oracle.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ class PeakWindow:
         return 0.5 * (self.hi - self.lo)
 
 
-def default_grid(lo: float = 0.5, hi: float = 1.5, points: int = 4001) -> np.ndarray:
-    return np.linspace(lo, hi, points)
+def default_grid() -> np.ndarray:
+    return np.linspace(*DEFAULT_GRID)
 
 
 def _check_populations(populations, dim: int) -> np.ndarray:
@@ -73,28 +73,48 @@ def _check_populations(populations, dim: int) -> np.ndarray:
     return p
 
 
-def emission_spectrum(lv: SecularGenerator, populations: np.ndarray, channels,
-                      grid) -> Spectrum:
-    """S(w) over the grid: one Lorentzian per cavity channel.
+def _lorentzians(lv: SecularGenerator, populations: np.ndarray, channels):
+    """Flux, half-width and frequency of every lit cavity line.
 
     Channel from -> to emits rate * p_from photons per unit time at
     freq = E_from - E_to, with the half-width (Gamma_from + Gamma_to)/2
-    of the coherence it leaves behind.  ``populations`` are the
-    stationary populations of the dressed levels.  Zero-weight channels
-    are skipped, so no term is ever 0/0.
+    of the coherence it leaves behind; p are the stationary populations
+    of the dressed levels.  Zero-flux channels are dropped, so no term
+    is ever 0/0.
     """
-    omegas = np.asarray(grid, dtype=float)
     p = _check_populations(populations, lv.dim)
     cav = channels.of_bath(BATH_CAVITY)
-    weights = cav.rate * p[cav.from_index] / np.pi
+    fluxes = cav.rate * p[cav.from_index]
     widths = 0.5 * (lv.out_rates[cav.from_index] + lv.out_rates[cav.to_index])
-    lit = weights != 0.0
+    lit = fluxes != 0.0
+    return fluxes[lit], widths[lit], cav.freq[lit]
+
+
+def emission_spectrum(lv: SecularGenerator, populations: np.ndarray, channels,
+                      grid) -> Spectrum:
+    """S(w) over the grid: one Lorentzian per lit cavity channel."""
+    omegas = np.asarray(grid, dtype=float)
+    fluxes, widths, freqs = _lorentzians(lv, populations, channels)
     values = np.zeros_like(omegas)
     # one line at a time: a (points x channels) array costs more memory than time
-    for weight, width, freq in zip(weights[lit].tolist(), widths[lit].tolist(),
-                                   cav.freq[lit].tolist()):
+    for weight, width, freq in zip((fluxes / np.pi).tolist(), widths.tolist(), freqs.tolist()):
         values += weight * width / (width**2 + (omegas - freq) ** 2)
     return Spectrum(omegas=omegas, values=values)
+
+
+def window_fluxes(lv: SecularGenerator, populations: np.ndarray, channels, windows):
+    """Exact integral of S over each window, keyed as ``windows``.
+
+    A line of flux F and half-width L at freq puts
+    F (arctan((hi - freq)/L) - arctan((lo - freq)/L)) / pi in [lo, hi];
+    every line counts in every window, neighbours' tails included.
+    """
+    fluxes, widths, freqs = _lorentzians(lv, populations, channels)
+    return {
+        name: float(fluxes @ (np.arctan((win.hi - freqs) / widths)
+                              - np.arctan((win.lo - freqs) / widths)) / np.pi)
+        for name, win in windows.items()
+    }
 
 
 def integrate_peak(spec: Spectrum, center: float, halfwidth: float) -> float:
@@ -129,17 +149,15 @@ def emission_line_centers(basis: DressedBasis):
     }
 
 
-def default_windows(basis: DressedBasis, grid_spacing: float | None = None):
+def default_windows(basis: DressedBasis):
     """Midpoint-bounded windows around the three emission lines.
 
     Adjacent windows share a boundary at the midpoint between centers;
     the outer edges extend by the same half-gap.  Centers closer than
-    ten grid spacings trigger a resolution warning (they coincide at
-    zero coupling).
+    ten spacings of the default grid trigger a resolution warning (they
+    coincide at zero coupling).
     """
-    if grid_spacing is None:
-        lo, hi, points = DEFAULT_GRID
-        grid_spacing = (hi - lo) / (points - 1)
+    grid_spacing = (DEFAULT_GRID[1] - DEFAULT_GRID[0]) / (DEFAULT_GRID[2] - 1)
     named = emission_line_centers(basis)
     order = sorted(named, key=named.get)
     centers = np.array([named[name] for name in order])

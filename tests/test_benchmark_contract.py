@@ -48,7 +48,7 @@ def test_every_traced_electrolum_target_resolves(traced):
 
 
 def test_channel_table_rows_read_as_the_benchmark_reads_them(traced, system):
-    channels = dissipators.all_channels(system.basis, system.space, system.params)
+    channels = dissipators.all_channels(system.basis, system.params)
     rows = list(channels)
     assert len(channels) == len(rows) > 0
     for row in rows:

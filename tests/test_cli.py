@@ -5,7 +5,7 @@ import pytest
 from pytest import approx
 
 from channel_rows import find_channel
-from electrolum import SystemParams, build_space, build_system
+from electrolum import SystemParams, build_space, build_system, cli, spectrum
 from electrolum.cli import (
     ConfigError,
     load_table,
@@ -14,8 +14,10 @@ from electrolum.cli import (
     run_sweep,
     validate_config,
 )
+from electrolum.dissipators import BATH_CAVITY
 from electrolum.rabi import dressed_basis, hamiltonian
 from electrolum.ratemodel import analytic_el
+from electrolum.spectrum import line_windows, window_capture
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -200,6 +202,55 @@ class TestRunSweep:
         _, _, data = load_table(run_sweep(config, tmp_path))
         expected = analytic_el(0.1, config.gamma_in, config.gamma_cav)
         assert list(data[0, 1:]) == list(expected)
+
+    @pytest.mark.parametrize("mu_mode", ["omega_G", "omega_G_plus_omega_plus"])
+    def test_window_columns_are_exact_arctan_integrals(self, tmp_path, mu_mode):
+        # every cavity channel row is a Lorentzian of flux rate * p_from and
+        # half-width the mean out-rate of its two levels; a grid trapezoid
+        # sits about 1.5e-4 below this integral
+        config = validate_config({
+            "eta": 0.1,
+            "n_max": 6,
+            "mu_mode": mu_mode,
+            "sweep": {"variable": "eta", "values": [0.03, 0.1, 0.3]},
+        })
+        _, header, data = load_table(run_sweep(config, tmp_path))
+        for row in data:
+            system = build_system(config.params(eta=row[0]), n_max=6, mu_mode=mu_mode)
+            out_rates = np.zeros(system.basis.dim)
+            for ch in system.channels:
+                out_rates[ch.from_index] += ch.rate
+            windows = line_windows(system.basis, system.channels, scale=5.0)
+            for column, line in (("f_C", "central"), ("f_plus", "plus"),
+                                 ("f_minus", "minus")):
+                win, expected = windows[line], 0.0
+                for ch in system.channels:
+                    if ch.bath != BATH_CAVITY:
+                        continue
+                    half = 0.5 * (out_rates[ch.from_index] + out_rates[ch.to_index])
+                    share = (np.arctan((win.hi - ch.freq) / half)
+                             - np.arctan((win.lo - ch.freq) / half)) / np.pi
+                    expected += ch.rate * system.populations[ch.from_index] * share
+                expected /= window_capture(5.0)
+                got = row[header.index(column)]
+                assert got == approx(expected, rel=1e-12, abs=0.0), column
+
+    def test_sweep_evaluates_no_spectrum(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sweep evaluated a spectrum on a grid")
+
+        monkeypatch.setattr(spectrum, "emission_spectrum", forbidden)
+        monkeypatch.setattr(spectrum, "integrate_peak", forbidden)
+        monkeypatch.setattr(cli, "integrate_peak", forbidden)
+        config = validate_config({
+            "eta": 0.1,
+            "n_max": 4,
+            "sweep": {"variable": "eta", "values": [0.05, 0.1]},
+            "methods": {"spectrum": True, "analytic": True, "ratemodel": True},
+        })
+        _, header, data = load_table(run_sweep(config, tmp_path))
+        assert header[1:4] == ["f_C", "f_plus", "f_minus"]
+        assert np.all(np.isfinite(data)) and np.all(data[:, 1:4] > 0)
 
     def test_sweep_requires_sweep_block(self, tmp_path):
         config = validate_config({"eta": 0.1})

@@ -33,14 +33,14 @@ def make_basis(eta, n_max=8, **kwargs):
 class TestCavityChannels:
     def test_bare_photon_decay(self):
         basis, space, _ = make_basis(0.0)
-        chans = channels_cavity(basis, space, 7e-4)
+        chans = channels_cavity(basis, 7e-4)
         s1, s0 = basis.s_levels[1], basis.s_levels[0]
         assert find_channel(chans, s1, s0) == approx(7e-4)
 
     def test_polariton_rates_weak_coupling(self):
         # polaritons are half photon: each decays at gamma_cav / 2
         basis, space, _ = make_basis(1e-3)
-        chans = channels_cavity(basis, space, 7e-4)
+        chans = channels_cavity(basis, 7e-4)
         for idx in (basis.index_plus, basis.index_minus):
             rate = find_channel(chans, idx, basis.index_ground)
             assert rate == approx(7e-4 / 2, rel=1e-2)
@@ -48,14 +48,14 @@ class TestCavityChannels:
     def test_polariton_rate_sum(self):
         eta = 0.1
         basis, space, _ = make_basis(eta)
-        chans = channels_cavity(basis, space, 7e-4)
+        chans = channels_cavity(basis, 7e-4)
         total = find_channel(chans, basis.index_plus, basis.index_ground) \
             + find_channel(chans, basis.index_minus, basis.index_ground)
         assert total == approx(7e-4, rel=2 * eta**2)
 
     def test_emission_frequencies_positive(self):
         basis, space, _ = make_basis(0.1)
-        for ch in channels_cavity(basis, space, 7e-4):
+        for ch in channels_cavity(basis, 7e-4):
             assert ch.freq > 0
             assert ch.rate >= 0
 
@@ -64,7 +64,7 @@ class TestCavityChannels:
         basis, space, _ = make_basis(0.1)
         v = basis.states
         x = quadrature(space)
-        for ch in list(channels_cavity(basis, space, 7e-4))[:10]:
+        for ch in list(channels_cavity(basis, 7e-4))[:10]:
             element = v[:, ch.to_index].conj() @ x @ v[:, ch.from_index]
             assert ch.rate == approx(7e-4 * abs(element) ** 2, rel=1e-12)
             assert ch.freq == approx(basis.energies[ch.from_index]
@@ -74,7 +74,7 @@ class TestCavityChannels:
 class TestExtractionChannels:
     def test_uncoupled_extracts_to_vacuum_only(self):
         basis, space, _ = make_basis(0.0)
-        chans = channels_out(basis, space, 0.5e-6)
+        chans = channels_out(basis, 0.5e-6)
         g = basis.index_ground
         assert find_channel(chans, g, basis.s_levels[0]) == approx(0.5e-6)
         assert find_channel(chans, g, basis.s_levels[1]) == approx(0.0)
@@ -83,13 +83,13 @@ class TestExtractionChannels:
         # extraction out of |G> leaves one photon with weight eta^2/4
         eta = 0.05
         basis, space, _ = make_basis(eta)
-        chans = channels_out(basis, space, 1.0)
+        chans = channels_out(basis, 1.0)
         rate = find_channel(chans, basis.index_ground, basis.s_levels[1])
         assert rate == approx(eta**2 / 4, rel=0.1)
 
     def test_polariton_extraction_half_half(self):
         basis, space, _ = make_basis(1e-3)
-        chans = channels_out(basis, space, 1.0)
+        chans = channels_out(basis, 1.0)
         for idx in (basis.index_plus, basis.index_minus):
             for n in (0, 1):
                 rate = find_channel(chans, idx, basis.s_levels[n])
@@ -99,7 +99,7 @@ class TestExtractionChannels:
     def test_rate_sum_rule(self, eta):
         # total extraction out of any one-electron level is the bare rate
         basis, space, _ = make_basis(eta)
-        chans = channels_out(basis, space, 1.0)
+        chans = channels_out(basis, 1.0)
         for j in (basis.index_ground, basis.index_minus, basis.index_plus):
             total = sum(ch.rate for ch in chans if ch.from_index == j)
             assert total == approx(1.0, abs=1e-10)
@@ -108,7 +108,7 @@ class TestExtractionChannels:
 class TestInjectionChannels:
     def test_low_bias_reaches_ground_only(self):
         basis, space, _ = make_basis(0.05)
-        chans = channels_in(basis, space, 1.0, mu=basis.omega_ground)
+        chans = channels_in(basis, 1.0, mu=basis.omega_ground)
         s0 = basis.s_levels[0]
         assert find_channel(chans, s0, basis.index_ground) > 0
         assert find_channel(chans, s0, basis.index_plus) == 0.0
@@ -116,14 +116,14 @@ class TestInjectionChannels:
 
     def test_ground_injection_unit_weight(self):
         basis, space, _ = make_basis(1e-3)
-        chans = channels_in(basis, space, 1.0, mu=0.0)
+        chans = channels_in(basis, 1.0, mu=0.0)
         rate = find_channel(chans, basis.s_levels[0], basis.index_ground)
         assert rate == approx(1.0, rel=1e-5)
 
     def test_polariton_injection_half_each(self):
         basis, space, _ = make_basis(1e-3)
         mu = basis.omega_ground + basis.omega_plus
-        chans = channels_in(basis, space, 1.0, mu=mu)
+        chans = channels_in(basis, 1.0, mu=mu)
         s0 = basis.s_levels[0]
         assert find_channel(chans, s0, basis.index_plus) == approx(0.5, rel=1e-2)
         assert find_channel(chans, s0, basis.index_minus) == approx(0.5, rel=1e-2)
@@ -134,8 +134,8 @@ class TestInjectionChannels:
         for idx, omega in ((basis.index_minus, basis.omega_minus),
                            (basis.index_plus, basis.omega_plus)):
             threshold = basis.omega_ground + omega
-            below = channels_in(basis, space, 1.0, mu=threshold - 2e-9)
-            at = channels_in(basis, space, 1.0, mu=threshold)
+            below = channels_in(basis, 1.0, mu=threshold - 2e-9)
+            at = channels_in(basis, 1.0, mu=threshold)
             assert find_channel(below, s0, idx) == 0.0
             assert find_channel(at, s0, idx) > 0.0
 
@@ -146,8 +146,8 @@ class TestInjectionChannels:
     @settings(max_examples=20, deadline=None)
     def test_monotone_gating(self, mu_lo, delta):
         basis, space, _ = make_basis(0.1, n_max=4)
-        lo = channels_in(basis, space, 1.0, mu=mu_lo)
-        hi = channels_in(basis, space, 1.0, mu=mu_lo + delta)
+        lo = channels_in(basis, 1.0, mu=mu_lo)
+        hi = channels_in(basis, 1.0, mu=mu_lo + delta)
         lo_keys = {(ch.from_index, ch.to_index) for ch in lo}
         hi_keys = {(ch.from_index, ch.to_index) for ch in hi}
         assert lo_keys <= hi_keys
@@ -203,7 +203,7 @@ class TestChannelTable:
         # same rows in the same order; a rate may differ in its last bit,
         # because an array squares by multiplication and a scalar by pow
         basis, space, params = make_basis(eta, n_max=6, mu=mu, omega_s=omega_s)
-        table = list(all_channels(basis, space, params))
+        table = list(all_channels(basis, params))
         reference = loop_channels(basis, params)
         assert [(r.from_index, r.to_index, r.freq, r.bath) for r in table] == \
             [(j, i, freq, bath) for j, i, _, freq, bath in reference]
@@ -217,7 +217,7 @@ class TestShiftInvariance:
             basis, space, params = make_basis(0.1, omega_s=omega_s, mu=0.3)
             return {
                 (c.bath, level_label(basis, c.from_index), level_label(basis, c.to_index)):
-                c.rate for c in all_channels(basis, space, params)
+                c.rate for c in all_channels(basis, params)
             }
 
         reference = rate_map(0.0)
@@ -230,18 +230,18 @@ class TestShiftInvariance:
 class TestQuadratureSplit:
     def test_bare_limit_is_annihilation(self):
         basis, space, _ = make_basis(0.0)
-        xm, _ = x_pm(basis, space)
+        xm, _ = x_pm(basis)
         assert np.max(np.abs(xm - annihilation(space))) < 1e-12
 
     def test_double_lowering_annihilates_one_photon(self):
         basis, space, _ = make_basis(0.0)
-        xm, _ = x_pm(basis, space)
+        xm, _ = x_pm(basis)
         s1 = basis_state(space, "s", 1)
         assert np.linalg.norm(xm @ (xm @ s1)) == approx(0.0, abs=1e-14)
 
     def test_energy_ordering(self):
         basis, space, _ = make_basis(0.1)
-        xm, _ = x_pm(basis, space)
+        xm, _ = x_pm(basis)
         x = quadrature(space)
         g = basis.state(basis.index_ground)
         plus = basis.state(basis.index_plus)
@@ -250,6 +250,6 @@ class TestQuadratureSplit:
 
     def test_split_reconstructs_quadrature(self):
         basis, space, _ = make_basis(0.1)
-        xm, xp = x_pm(basis, space)
+        xm, xp = x_pm(basis)
         assert np.max(np.abs(quadrature(space) - xm - xp)) < 1e-12
         assert np.max(np.abs(xp - xm.conj().T)) == approx(0.0)

@@ -122,7 +122,7 @@ class TestSteadyState:
         # without electron exchange both sector grounds are stationary;
         # the dense generator agrees
         h, basis, space = small_basis()
-        channels = channels_cavity(basis, space, 7e-4)
+        channels = channels_cavity(basis, 7e-4)
         with pytest.raises(SteadyStateError):
             steady_state(build_liouvillian(basis, channels))
         with pytest.raises(SteadyStateError):
@@ -131,7 +131,7 @@ class TestSteadyState:
     def test_cavity_only_empty_sector_drains_to_vacuum(self):
         # starting in the empty sector, everything funnels into |s,0>
         _, basis, space = small_basis()
-        lv = build_liouvillian(basis, channels_cavity(basis, space, 7e-4))
+        lv = build_liouvillian(basis, channels_cavity(basis, 7e-4))
         p0 = np.zeros(basis.dim)
         p0[basis.s_levels[2]] = 1.0
         horizon = 50.0 / 7e-4
