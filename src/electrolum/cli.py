@@ -10,7 +10,11 @@ Two modes, selected with ``--mode``:
   grid; the configured ``grid`` serves spectrum mode only.
 
 The configuration is a single JSON file; unknown keys are rejected with
-their full path so typos cannot silently fall back to defaults.  Output
+their full path so typos cannot silently fall back to defaults.  A
+missing key takes the default of the module it configures: the
+physical constants from ``SystemParams``, ``n_max`` from ``pipeline``,
+``grid`` and the flux-window scale from ``spectrum``; only ``mu_mode``,
+``outputs`` and ``methods`` default here (``DEFAULTS``).  Output
 files carry '#'-prefixed metadata lines (resolved parameters, package
 version) followed by a CSV header and full-precision rows, so a rerun
 with the same configuration is byte-identical and every value reparses
@@ -24,7 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,26 +37,24 @@ from . import __version__, ratemodel
 from .dissipators import gate_open
 from .hilbert import SystemParams
 from .linalg import LinalgError
-from .pipeline import MU_MODES, build_system
-# integrate_peak is unused here: perfbench/traced.py wraps it at this lookup name
-from .spectrum import integrate_peak, line_windows, window_capture, window_fluxes
+from .pipeline import DEFAULT_N_MAX, MU_MODES, build_system
+# integrate_peak is unused here: perfbench/traced.py wraps it at this lookup name;
+# WINDOW_SCALE is re-exported for perfbench/workloads.py
+from .spectrum import (
+    DEFAULT_GRID,
+    WINDOW_SCALE,
+    integrate_peak,
+    line_windows,
+    window_capture,
+    window_fluxes,
+)
 
+# defaults of the settings that no other module owns
 DEFAULTS = {
-    "gamma": 0.5e-6,
-    "gamma_cav": 7e-4,
-    "omega_e": 1.0,
-    "omega_s": 0.0,
-    "n_max": 8,
     "mu_mode": "omega_G",
-    "grid": {"min": 0.5, "max": 1.5, "points": 4001},
     "outputs": {"spectrum": "spectrum.csv", "sweep": "sweep.csv"},
     "methods": {"spectrum": True, "ratemodel": False, "analytic": True},
 }
-
-# windows of +-5 half-widths capture (2/pi) arctan 5 of each Lorentzian
-# line; integrated fluxes are divided by that fraction so the columns
-# estimate total line fluxes
-WINDOW_SCALE = 5.0
 
 
 class ConfigError(ValueError):
@@ -63,41 +65,54 @@ class ConfigError(ValueError):
 class RunConfig:
     """Fully validated and defaulted run description."""
 
-    eta: float
-    gamma_in: float
-    gamma_out: float
-    gamma_cav: float
-    omega_e: float
-    omega_s: float
+    base: SystemParams  # mu is 0 unless mu_mode is 'absolute'
     n_max: int
     mu_mode: str
-    mu: float
     grid: tuple  # (min, max, points)
     sweep: tuple | None  # (variable, values)
     outputs: dict = field(default_factory=dict)
     methods: dict = field(default_factory=dict)
 
+    @property
+    def eta(self) -> float:
+        return self.base.eta
+
     def params(self, eta: float | None = None, mu: float | None = None) -> SystemParams:
-        return SystemParams.from_eta(
-            self.eta if eta is None else eta,
-            omega_e=self.omega_e,
-            omega_s=self.omega_s,
-            gamma_in=self.gamma_in,
-            gamma_out=self.gamma_out,
-            gamma_cav=self.gamma_cav,
-            mu=self.mu if mu is None else mu,
-        )
+        changes = {}
+        if eta is not None:
+            changes["rabi"] = eta  # omega_c = 1
+        if mu is not None:
+            changes["mu"] = mu
+        return replace(self.base, **changes)
 
 
-def _require_number(value, path, minimum=None, allow_zero=True):
+def _require_number(value, path, minimum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     x = float(value)
     if not np.isfinite(x):
         raise ConfigError(f"{path}: must be finite, got {value!r}")
-    if minimum is not None and (x < minimum or (not allow_zero and x == minimum)):
+    if minimum is not None and x < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {value!r}")
     return x
+
+
+def _require_int(value, path, minimum):
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{path}: expected an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _require_file_name(value, path):
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{path}: expected a file name")
+    return value
+
+
+def _require_bool(value, path):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected true or false")
+    return value
 
 
 def _check_keys(raw: dict, allowed, path: str):
@@ -106,6 +121,16 @@ def _check_keys(raw: dict, allowed, path: str):
         name = sorted(unknown)[0]
         where = f"{path}.{name}" if path else name
         raise ConfigError(f"unknown configuration key: {where}")
+
+
+def _config_object(raw: dict, name: str, defaults: dict, checks: dict) -> dict:
+    """``defaults`` overridden by the object ``raw[name]``, each entry vetted by ``checks``."""
+    given = raw.get(name, {})
+    if not isinstance(given, dict):
+        raise ConfigError(f"{name}: expected an object with {'/'.join(defaults)}")
+    _check_keys(given, defaults, name)
+    return {key: checks[key](given[key], f"{name}.{key}") if key in given else default
+            for key, default in defaults.items()}
 
 
 def validate_config(raw: dict) -> RunConfig:
@@ -128,18 +153,16 @@ def validate_config(raw: dict) -> RunConfig:
     else:
         raise ConfigError("eta: required (coupling strength eta = rabi/omega_c)")
 
-    gamma = _require_number(raw.get("gamma", DEFAULTS["gamma"]), "gamma", minimum=0.0)
-    gamma_in = _require_number(raw.get("gamma_in", gamma), "gamma_in", minimum=0.0)
-    gamma_out = _require_number(raw.get("gamma_out", gamma), "gamma_out", minimum=0.0)
-    gamma_cav = _require_number(
-        raw.get("gamma_cav", DEFAULTS["gamma_cav"]), "gamma_cav", minimum=0.0
-    )
-    omega_e = _require_number(raw.get("omega_e", DEFAULTS["omega_e"]), "omega_e", minimum=0.0)
-    omega_s = _require_number(raw.get("omega_s", DEFAULTS["omega_s"]), "omega_s", minimum=0.0)
+    # absent constants keep their SystemParams defaults; gamma sets both electron rates
+    constants = {}
+    if "gamma" in raw:
+        constants["gamma_in"] = constants["gamma_out"] = _require_number(
+            raw["gamma"], "gamma", minimum=0.0)
+    for name in ("gamma_in", "gamma_out", "gamma_cav", "omega_e", "omega_s"):
+        if name in raw:
+            constants[name] = _require_number(raw[name], name, minimum=0.0)
 
-    n_max = raw.get("n_max", DEFAULTS["n_max"])
-    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
-        raise ConfigError(f"n_max: expected an integer >= 1, got {n_max!r}")
+    n_max = _require_int(raw.get("n_max", DEFAULT_N_MAX), "n_max", 1)
 
     mu_mode = raw.get("mu_mode", DEFAULTS["mu_mode"])
     if mu_mode not in MU_MODES:
@@ -147,23 +170,17 @@ def validate_config(raw: dict) -> RunConfig:
     if mu_mode == "absolute":
         if "mu" not in raw:
             raise ConfigError("mu: required when mu_mode is 'absolute'")
-        mu = _require_number(raw["mu"], "mu")
-    else:
-        if "mu" in raw:
-            raise ConfigError(f"mu: not allowed with symbolic mu_mode {mu_mode!r}")
-        mu = 0.0
+        constants["mu"] = _require_number(raw["mu"], "mu")
+    elif "mu" in raw:
+        raise ConfigError(f"mu: not allowed with symbolic mu_mode {mu_mode!r}")
 
-    grid_raw = raw.get("grid", DEFAULTS["grid"])
-    if not isinstance(grid_raw, dict):
-        raise ConfigError("grid: expected an object with min/max/points")
-    _check_keys(grid_raw, {"min", "max", "points"}, "grid")
-    gmin = _require_number(grid_raw.get("min", DEFAULTS["grid"]["min"]), "grid.min")
-    gmax = _require_number(grid_raw.get("max", DEFAULTS["grid"]["max"]), "grid.max")
-    points = grid_raw.get("points", DEFAULTS["grid"]["points"])
-    if isinstance(points, bool) or not isinstance(points, int) or points < 2:
-        raise ConfigError(f"grid.points: expected an integer >= 2, got {points!r}")
-    if gmax <= gmin:
-        raise ConfigError(f"grid.max: must exceed grid.min, got [{gmin}, {gmax}]")
+    grid = _config_object(
+        raw, "grid", dict(zip(("min", "max", "points"), DEFAULT_GRID)),
+        {"min": _require_number, "max": _require_number,
+         "points": lambda value, path: _require_int(value, path, 2)},
+    )
+    if grid["max"] <= grid["min"]:
+        raise ConfigError(f"grid.max: must exceed grid.min, got [{grid['min']}, {grid['max']}]")
 
     sweep = None
     if "sweep" in raw:
@@ -184,37 +201,16 @@ def validate_config(raw: dict) -> RunConfig:
         ]
         sweep = (variable, tuple(sorted(values)))
 
-    outputs = dict(DEFAULTS["outputs"])
-    if "outputs" in raw:
-        if not isinstance(raw["outputs"], dict):
-            raise ConfigError("outputs: expected an object")
-        _check_keys(raw["outputs"], set(outputs), "outputs")
-        for key, value in raw["outputs"].items():
-            if not isinstance(value, str) or not value:
-                raise ConfigError(f"outputs.{key}: expected a file name")
-            outputs[key] = value
-
-    methods = dict(DEFAULTS["methods"])
-    if "methods" in raw:
-        if not isinstance(raw["methods"], dict):
-            raise ConfigError("methods: expected an object")
-        _check_keys(raw["methods"], set(methods), "methods")
-        for key, value in raw["methods"].items():
-            if not isinstance(value, bool):
-                raise ConfigError(f"methods.{key}: expected true or false")
-            methods[key] = value
+    outputs = _config_object(raw, "outputs", DEFAULTS["outputs"],
+                             dict.fromkeys(DEFAULTS["outputs"], _require_file_name))
+    methods = _config_object(raw, "methods", DEFAULTS["methods"],
+                             dict.fromkeys(DEFAULTS["methods"], _require_bool))
 
     return RunConfig(
-        eta=eta,
-        gamma_in=gamma_in,
-        gamma_out=gamma_out,
-        gamma_cav=gamma_cav,
-        omega_e=omega_e,
-        omega_s=omega_s,
+        base=SystemParams.from_eta(eta, **constants),
         n_max=n_max,
         mu_mode=mu_mode,
-        mu=mu,
-        grid=(gmin, gmax, points),
+        grid=(grid["min"], grid["max"], grid["points"]),
         sweep=sweep,
         outputs=outputs,
         methods=methods,
@@ -236,16 +232,9 @@ def _format(value) -> str:
 
 
 def _metadata_lines(config: RunConfig, mode: str, skip=()):
-    pairs = [
-        ("eta", _format(config.eta)),
-        ("gamma_in", _format(config.gamma_in)),
-        ("gamma_out", _format(config.gamma_out)),
-        ("gamma_cav", _format(config.gamma_cav)),
-        ("omega_e", _format(config.omega_e)),
-        ("omega_s", _format(config.omega_s)),
-        ("n_max", str(config.n_max)),
-        ("mu_mode", config.mu_mode),
-    ]
+    pairs = [(name, _format(getattr(config.base, name))) for name in
+             ("eta", "gamma_in", "gamma_out", "gamma_cav", "omega_e", "omega_s")]
+    pairs += [("n_max", str(config.n_max)), ("mu_mode", config.mu_mode)]
     lines = [f"# electrolum {__version__}", f"# mode = {mode}"]
     lines += [f"# {k} = {v}" for k, v in pairs if k not in skip]
     return lines
@@ -276,7 +265,7 @@ def run_spectrum(config: RunConfig, out_dir) -> Path:
 
 def _row_fluxes(system):
     """Capture-corrected window fluxes of the three lines for one system."""
-    windows = line_windows(system.basis, system.channels, scale=WINDOW_SCALE)
+    windows = line_windows(system.basis, system.channels)
     fluxes = window_fluxes(system.lv, system.populations, system.channels, windows)
     return {name: flux / window_capture(WINDOW_SCALE) for name, flux in fluxes.items()}
 
@@ -292,37 +281,32 @@ def _analytic_fluxes(system):
     return ratemodel.analytic_gse(p.eta, gamma, p.gamma_cav)
 
 
+# the sweep's optional column groups in CSV order:
+# (methods key, column names, the columns' values for one system)
+_SWEEP_GROUPS = (
+    ("spectrum", ("f_C", "f_plus", "f_minus"),
+     lambda system: [_row_fluxes(system)[line] for line in ("central", "plus", "minus")]),
+    ("analytic", ("f_C_analytic", "f_plus_analytic", "f_minus_analytic"), _analytic_fluxes),
+    ("ratemodel", ("f_C_rate", "f_plus_rate", "f_minus_rate"),
+     lambda system: system.rate_model_fluxes()),
+)
+
+
 def run_sweep(config: RunConfig, out_dir) -> Path:
     """Integrated line fluxes against the swept variable, one row per value."""
     if config.sweep is None:
         raise ConfigError("sweep.values: a sweep requires sweep.variable and sweep.values")
     variable, values = config.sweep
+    groups = [(names, fluxes) for key, names, fluxes in _SWEEP_GROUPS if config.methods[key]]
+    # a swept mu is an absolute chemical potential
+    mu_mode = config.mu_mode if variable == "eta" else "absolute"
 
-    columns = [variable]
-    if config.methods["spectrum"]:
-        columns += ["f_C", "f_plus", "f_minus"]
-    if config.methods["analytic"]:
-        columns += ["f_C_analytic", "f_plus_analytic", "f_minus_analytic"]
-    if config.methods["ratemodel"]:
-        columns += ["f_C_rate", "f_plus_rate", "f_minus_rate"]
-
+    columns = [variable] + [name for names, _ in groups for name in names]
     rows = []
     for value in values:
-        if variable == "eta":
-            params = config.params(eta=value)
-            system = build_system(params, n_max=config.n_max, mu_mode=config.mu_mode)
-        else:
-            params = config.params(mu=value)
-            system = build_system(params, n_max=config.n_max, mu_mode="absolute")
-        row = [value]
-        if config.methods["spectrum"]:
-            fluxes = _row_fluxes(system)
-            row += [fluxes["central"], fluxes["plus"], fluxes["minus"]]
-        if config.methods["analytic"]:
-            row += list(_analytic_fluxes(system))
-        if config.methods["ratemodel"]:
-            row += list(system.rate_model_fluxes())
-        rows.append(row)
+        system = build_system(config.params(**{variable: value}), n_max=config.n_max,
+                              mu_mode=mu_mode)
+        rows.append([value] + [x for _, fluxes in groups for x in fluxes(system)])
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

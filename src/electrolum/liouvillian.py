@@ -86,8 +86,13 @@ def density_operator(lv: SecularGenerator, populations: np.ndarray) -> np.ndarra
     return 0.5 * (rho + rho.T)
 
 
-def check_density_operator(rho: np.ndarray, herm_tol=1e-10, trace_tol=1e-10,
-                           eig_floor=-1e-9) -> dict:
+# physicality bounds of check_density_operator
+HERM_TOL = 1e-10
+TRACE_TOL = 1e-10
+EIG_FLOOR = -1e-9
+
+
+def check_density_operator(rho: np.ndarray) -> dict:
     """Physicality defects of a density operator (used by the test gates)."""
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     trace_err = abs(np.trace(rho) - 1.0)
@@ -96,6 +101,6 @@ def check_density_operator(rho: np.ndarray, herm_tol=1e-10, trace_tol=1e-10,
         "hermiticity_defect": herm,
         "trace_error": float(trace_err),
         "min_eigenvalue": min_eig,
-        "ok": herm <= herm_tol and trace_err <= trace_tol and min_eig >= eig_floor,
+        "ok": herm <= HERM_TOL and trace_err <= TRACE_TOL and min_eig >= EIG_FLOOR,
     }
     return report

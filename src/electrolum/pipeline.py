@@ -34,7 +34,7 @@ from .liouvillian import (
     density_operator,
     steady_state,
 )
-from .rabi import BlockHamiltonian, DressedBasis, dressed_basis, hamiltonian
+from .rabi import DressedBasis, dressed_basis, hamiltonian
 
 MU_MODES = ("absolute", "omega_G", "omega_G_plus_omega_plus")
 DEFAULT_N_MAX = 8
@@ -59,7 +59,6 @@ class DressedSystem:
 
     params: SystemParams  # with mu already resolved to a number
     space: ModelSpace
-    h: BlockHamiltonian  # empty-site energies and the two parity chains
     basis: DressedBasis
     channels: dissipators.ChannelTable
     lv: SecularGenerator
@@ -78,31 +77,22 @@ class DressedSystem:
         return spectrum_mod.line_fluxes(self.basis, self.channels, self.populations)
 
     def rate_model_fluxes(self):
-        rates = ratemodel.extract_rates(self.basis, self.channels)
+        rates = ratemodel.extract_rates(self.lv, self.basis)
         pops = ratemodel.rate_steady_state(ratemodel.rate_matrix(rates))
         return ratemodel.fluxes(pops, rates)
 
     def emission_spectrum(self, grid=None) -> spectrum_mod.Spectrum:
         if grid is None:
             grid = spectrum_mod.default_grid()
-        spec = spectrum_mod.emission_spectrum(self.lv, self.populations, self.channels,
+        return spectrum_mod.emission_spectrum(self.lv, self.populations, self.channels,
                                               grid)
-        spec.metadata.update(
-            gamma_cav=self.params.gamma_cav,
-            mu=self.params.mu,
-            eta=self.params.eta,
-            n_max=self.space.n_max,
-            line_centers=spectrum_mod.emission_line_centers(self.basis),
-        )
-        return spec
 
 
 def build_system(params: SystemParams, n_max: int = DEFAULT_N_MAX,
                  mu_mode: str = "absolute") -> DressedSystem:
     """Assemble the full open system and solve for its steady state."""
     space = build_space(n_max)
-    h = hamiltonian(params, space)
-    basis = dressed_basis(h, space)
+    basis = dressed_basis(hamiltonian(params, space), space)
     mu = resolve_mu(mu_mode, basis, absolute=params.mu)
     params = replace(params, mu=mu)
     channels = dissipators.all_channels(basis, params)
@@ -110,7 +100,6 @@ def build_system(params: SystemParams, n_max: int = DEFAULT_N_MAX,
     return DressedSystem(
         params=params,
         space=space,
-        h=h,
         basis=basis,
         channels=channels,
         lv=lv,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouvillian import build_liouvillian
+from .liouvillian import SecularGenerator
 from .linalg import NullSpaceError, stationary_distribution
 from .rabi import DressedBasis
 
@@ -66,15 +66,15 @@ def five_levels(basis: DressedBasis) -> list:
             basis.index_plus, basis.index_minus]
 
 
-def extract_rates(basis: DressedBasis, channels) -> np.ndarray:
+def extract_rates(lv: SecularGenerator, basis: DressedBasis) -> np.ndarray:
     """Rates among the five retained levels: ``rates[to, from]`` in STATE_ORDER.
 
-    The restriction of the dressed Pauli rate matrix to those levels.
-    Channels absent from the table (below the weight cut or closed by
-    the chemical-potential gate) enter as zero.
+    The restriction of the system's dressed Pauli rate matrix to those
+    levels.  Channels absent from its table (below the weight cut or
+    closed by the chemical-potential gate) enter as zero.
     """
     keep = five_levels(basis)
-    return build_liouvillian(basis, channels).rates[np.ix_(keep, keep)]
+    return lv.rates[np.ix_(keep, keep)]
 
 
 def rate_matrix(rates: np.ndarray) -> np.ndarray:

@@ -32,6 +32,9 @@ from .liouvillian import SecularGenerator, build_liouvillian
 from .rabi import DressedBasis
 
 DEFAULT_GRID = (0.5, 1.5, 4001)
+# line windows span +-WINDOW_SCALE half-widths and capture (2/pi) arctan 5 of
+# each Lorentzian line; the sweep divides its window fluxes by that fraction
+WINDOW_SCALE = 5.0
 
 
 @dataclass(frozen=True)
@@ -187,7 +190,7 @@ def line_halfwidths(basis: DressedBasis, channels):
     }
 
 
-def line_windows(basis: DressedBasis, channels, scale: float = 5.0):
+def line_windows(basis: DressedBasis, channels, scale: float = WINDOW_SCALE):
     """Windows of +-scale half-widths around each line.
 
     Narrow windows keep the Lorentzian tail of the dominant line out of

@@ -3,20 +3,24 @@
 perfbench/traced.py wraps every function in its ``TARGETS`` at the name
 its caller looks it up by, and reads counts off some results; a name
 that is gone makes every traced operation fail.  perfbench/workloads.py
-iterates the channel table row by row.  Both files are loaded by path,
-unchanged, and checked against a freshly built system.
+iterates the channel table row by row, and perfbench/cutoff_op.py and
+the workload checks read the CLI's RunConfig.  The files are loaded by
+path, unchanged, and checked against a freshly built system or run on a
+workload's own input.
 """
 
 import importlib
 import importlib.util
+import json
 import math
+import random
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from electrolum import SystemParams, build_system
+from electrolum import SystemParams, build_system, cli
 from electrolum import dissipators
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -75,3 +79,23 @@ def test_window_oracle_reads_channel_rows(system):
     exact = system.line_fluxes()
     assert predicted.keys() == exact.keys()
     assert predicted["central"] == pytest.approx(exact["central"], rel=0.1)
+
+
+@pytest.mark.parametrize("name", ["cutoff-n12", "sweep-n8"])
+def test_gated_workload_operation_passes_its_check(name, tmp_path):
+    # one operation of each gated workload, run in this process on the
+    # workload's own seeded input and judged by the workload's own check
+    workloads = load("workloads")
+    workload = workloads.WORKLOADS[name]
+    raw = workload.make_input(random.Random(7))
+    config_path = tmp_path / "input.json"
+    config_path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    if workload.kind == "cutoff":
+        assert load("cutoff_op").main([str(config_path), str(out)]) == 0
+    else:
+        assert cli.main(["--config", str(config_path), "--out", str(out),
+                         "--mode", workload.mode]) == 0
+    assert (out / workload.output).exists()
+    report = workload.check(raw, out)
+    assert report

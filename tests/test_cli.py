@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -15,9 +16,10 @@ from electrolum.cli import (
     validate_config,
 )
 from electrolum.dissipators import BATH_CAVITY
+from electrolum.pipeline import DEFAULT_N_MAX
 from electrolum.rabi import dressed_basis, hamiltonian
 from electrolum.ratemodel import analytic_el
-from electrolum.spectrum import line_windows, window_capture
+from electrolum.spectrum import DEFAULT_GRID, line_windows, window_capture
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -30,12 +32,19 @@ class TestValidateConfig:
     def test_minimal_defaults(self):
         config = validate_config({"eta": 0.1})
         assert config.eta == approx(0.1)
-        assert config.gamma_in == approx(0.5e-6)
-        assert config.gamma_out == approx(0.5e-6)
-        assert config.gamma_cav == approx(7e-4)
+        assert config.base.gamma_in == approx(0.5e-6, rel=1e-6, abs=0)
+        assert config.base.gamma_out == approx(0.5e-6, rel=1e-6, abs=0)
+        assert config.base.gamma_cav == approx(7e-4)
         assert config.n_max == 8
         assert config.mu_mode == "omega_G"
         assert config.grid == (0.5, 1.5, 4001)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.1, 0.7])
+    def test_defaults_are_the_library_defaults(self, eta):
+        config = validate_config({"eta": eta})
+        assert config.params() == SystemParams.from_eta(eta)
+        assert config.n_max == DEFAULT_N_MAX
+        assert config.grid == DEFAULT_GRID
 
     def test_unknown_key_rejected_with_name(self):
         with pytest.raises(ConfigError, match="unknown_key"):
@@ -61,7 +70,7 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="mu"):
             validate_config({"eta": 0.1, "mu_mode": "absolute"})
         config = validate_config({"eta": 0.1, "mu_mode": "absolute", "mu": -0.01})
-        assert config.mu == approx(-0.01)
+        assert config.base.mu == approx(-0.01)
 
     def test_mu_forbidden_for_symbolic_modes(self):
         with pytest.raises(ConfigError, match="mu"):
@@ -146,7 +155,50 @@ class TestRunSpectrum:
         assert np.max(np.abs(data[:, 1])) < 1e-16
 
 
+# the sweep's optional column groups, in CSV order
+METHOD_COLUMNS = (
+    ("spectrum", ["f_C", "f_plus", "f_minus"]),
+    ("analytic", ["f_C_analytic", "f_plus_analytic", "f_minus_analytic"]),
+    ("ratemodel", ["f_C_rate", "f_plus_rate", "f_minus_rate"]),
+)
+SWEEPS = {"eta": [0.05, 0.1], "mu": [-0.01, 0.1]}
+
+
+def sweep_config(variable, methods):
+    return validate_config({
+        "eta": 0.1,
+        "n_max": 3,
+        "sweep": {"variable": variable, "values": SWEEPS[variable]},
+        "methods": methods,
+    })
+
+
+@pytest.fixture(scope="module")
+def full_sweeps(tmp_path_factory):
+    """Header and rows of each sweep with every column group on."""
+    tables = {}
+    for variable in SWEEPS:
+        config = sweep_config(variable, dict.fromkeys(cli.DEFAULTS["methods"], True))
+        _, header, data = load_table(run_sweep(config, tmp_path_factory.mktemp(variable)))
+        tables[variable] = header, data
+    return tables
+
+
 class TestRunSweep:
+    @pytest.mark.parametrize("variable", sorted(SWEEPS))
+    @pytest.mark.parametrize("switches", list(itertools.product((False, True), repeat=3)))
+    def test_columns_follow_methods(self, tmp_path, full_sweeps, variable, switches):
+        methods = dict(zip([key for key, _ in METHOD_COLUMNS], switches))
+        _, header, data = load_table(run_sweep(sweep_config(variable, methods), tmp_path))
+        expected = [variable] + [name for key, names in METHOD_COLUMNS if methods[key]
+                                 for name in names]
+        assert header == expected
+        assert data.shape == (len(SWEEPS[variable]), len(expected))
+        # each column holds the same values as in the sweep with every group on
+        full_header, full_data = full_sweeps[variable]
+        for i, name in enumerate(header):
+            assert list(data[:, i]) == list(full_data[:, full_header.index(name)]), name
+
     def test_eta_sweep_schema_and_agreement(self, tmp_path):
         config = validate_config({
             "eta": 0.1,
@@ -200,7 +252,7 @@ class TestRunSweep:
         system = build_system(config.params(mu=mu), n_max=3, mu_mode="absolute")
         assert find_channel(system.channels, basis.s_levels[0], basis.index_minus) > 0.0
         _, _, data = load_table(run_sweep(config, tmp_path))
-        expected = analytic_el(0.1, config.gamma_in, config.gamma_cav)
+        expected = analytic_el(0.1, config.base.gamma_in, config.base.gamma_cav)
         assert list(data[0, 1:]) == list(expected)
 
     @pytest.mark.parametrize("mu_mode", ["omega_G", "omega_G_plus_omega_plus"])
