@@ -29,6 +29,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +66,7 @@ class ConfigError(ValueError):
 class RunConfig:
     """Fully validated and defaulted run description."""
 
-    base: SystemParams  # mu is 0 unless mu_mode is 'absolute'
+    base: SystemParams  # mu is 0 unless the configuration gives it
     n_max: int
     mu_mode: str
     grid: tuple  # (min, max, points)
@@ -164,24 +165,6 @@ def validate_config(raw: dict) -> RunConfig:
 
     n_max = _require_int(raw.get("n_max", DEFAULT_N_MAX), "n_max", 1)
 
-    mu_mode = raw.get("mu_mode", DEFAULTS["mu_mode"])
-    if mu_mode not in MU_MODES:
-        raise ConfigError(f"mu_mode: expected one of {MU_MODES}, got {mu_mode!r}")
-    if mu_mode == "absolute":
-        if "mu" not in raw:
-            raise ConfigError("mu: required when mu_mode is 'absolute'")
-        constants["mu"] = _require_number(raw["mu"], "mu")
-    elif "mu" in raw:
-        raise ConfigError(f"mu: not allowed with symbolic mu_mode {mu_mode!r}")
-
-    grid = _config_object(
-        raw, "grid", dict(zip(("min", "max", "points"), DEFAULT_GRID)),
-        {"min": _require_number, "max": _require_number,
-         "points": lambda value, path: _require_int(value, path, 2)},
-    )
-    if grid["max"] <= grid["min"]:
-        raise ConfigError(f"grid.max: must exceed grid.min, got [{grid['min']}, {grid['max']}]")
-
     sweep = None
     if "sweep" in raw:
         sweep_raw = raw["sweep"]
@@ -200,6 +183,31 @@ def validate_config(raw: dict) -> RunConfig:
             for i, v in enumerate(values)
         ]
         sweep = (variable, tuple(sorted(values)))
+
+    # a swept mu is an absolute chemical potential, and the sweep supplies it
+    mu_swept = sweep is not None and sweep[0] == "mu"
+    mu_mode = raw.get("mu_mode", "absolute" if mu_swept else DEFAULTS["mu_mode"])
+    if mu_mode not in MU_MODES:
+        raise ConfigError(f"mu_mode: expected one of {MU_MODES}, got {mu_mode!r}")
+    if mu_swept:
+        if mu_mode != "absolute":
+            raise ConfigError(f"mu_mode: a mu sweep takes absolute mu values, got {mu_mode!r}")
+        if "mu" in raw:
+            raise ConfigError("mu: not allowed with a mu sweep, which supplies it")
+    elif mu_mode == "absolute":
+        if "mu" not in raw:
+            raise ConfigError("mu: required when mu_mode is 'absolute'")
+        constants["mu"] = _require_number(raw["mu"], "mu")
+    elif "mu" in raw:
+        raise ConfigError(f"mu: not allowed with symbolic mu_mode {mu_mode!r}")
+
+    grid = _config_object(
+        raw, "grid", dict(zip(("min", "max", "points"), DEFAULT_GRID)),
+        {"min": _require_number, "max": _require_number,
+         "points": lambda value, path: _require_int(value, path, 2)},
+    )
+    if grid["max"] <= grid["min"]:
+        raise ConfigError(f"grid.max: must exceed grid.min, got [{grid['min']}, {grid['max']}]")
 
     outputs = _config_object(raw, "outputs", DEFAULTS["outputs"],
                              dict.fromkeys(DEFAULTS["outputs"], _require_file_name))
@@ -285,7 +293,7 @@ def _analytic_fluxes(system):
 # (methods key, column names, the columns' values for one system)
 _SWEEP_GROUPS = (
     ("spectrum", ("f_C", "f_plus", "f_minus"),
-     lambda system: [_row_fluxes(system)[line] for line in ("central", "plus", "minus")]),
+     lambda system: itemgetter("central", "plus", "minus")(_row_fluxes(system))),
     ("analytic", ("f_C_analytic", "f_plus_analytic", "f_minus_analytic"), _analytic_fluxes),
     ("ratemodel", ("f_C_rate", "f_plus_rate", "f_minus_rate"),
      lambda system: system.rate_model_fluxes()),
@@ -298,14 +306,12 @@ def run_sweep(config: RunConfig, out_dir) -> Path:
         raise ConfigError("sweep.values: a sweep requires sweep.variable and sweep.values")
     variable, values = config.sweep
     groups = [(names, fluxes) for key, names, fluxes in _SWEEP_GROUPS if config.methods[key]]
-    # a swept mu is an absolute chemical potential
-    mu_mode = config.mu_mode if variable == "eta" else "absolute"
 
     columns = [variable] + [name for names, _ in groups for name in names]
     rows = []
     for value in values:
         system = build_system(config.params(**{variable: value}), n_max=config.n_max,
-                              mu_mode=mu_mode)
+                              mu_mode=config.mu_mode)
         rows.append([value] + [x for _, fluxes in groups for x in fluxes(system)])
 
     out_dir = Path(out_dir)
@@ -313,10 +319,11 @@ def run_sweep(config: RunConfig, out_dir) -> Path:
     path = out_dir / config.outputs["sweep"]
     lines = _metadata_lines(config, "sweep", skip=(variable,))
     lines.append(f"# sweep variable = {variable}")
-    lines.append(
-        f"# flux windows: +-{WINDOW_SCALE:g} line half-widths, exact integrals "
-        f"divided by the captured fraction {_format(window_capture(WINDOW_SCALE))}"
-    )
+    if config.methods["spectrum"]:
+        lines.append(
+            f"# flux windows: +-{WINDOW_SCALE:g} line half-widths, exact integrals "
+            f"divided by the captured fraction {_format(window_capture(WINDOW_SCALE))}"
+        )
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_format(x) for x in row))

@@ -102,9 +102,9 @@ class ChannelTable:
                      for name in ("from_index", "to_index", "rate", "freq", "bath")))
 
 
-def gate_open(argument, tol: float = GATE_TOL):
+def gate_open(argument):
     """Zero-temperature occupation step with Theta(0) = 1 (elementwise on arrays)."""
-    return argument >= -tol
+    return argument >= -GATE_TOL
 
 
 def _channels(basis: DressedBasis, elements: np.ndarray, allowed: np.ndarray,

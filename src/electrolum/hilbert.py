@@ -83,7 +83,6 @@ class SystemParams:
     """
 
     rabi: float  # light-matter coupling Omega_R
-    omega_c: float = 1.0  # cavity frequency (the unit)
     omega_e: float = 1.0  # g -> e transition frequency
     omega_s: float = 0.0  # s -> g offset; cancels from every gated rate
     gamma_in: float = 0.5e-6  # bare electron injection rate
@@ -92,8 +91,7 @@ class SystemParams:
     mu: float = 0.0  # injecting-reservoir chemical potential
 
     def __post_init__(self):
-        for name in ("rabi", "omega_c", "omega_e", "omega_s",
-                     "gamma_in", "gamma_out", "gamma_cav"):
+        for name in ("rabi", "omega_e", "omega_s", "gamma_in", "gamma_out", "gamma_cav"):
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
@@ -102,15 +100,14 @@ class SystemParams:
 
     @property
     def eta(self) -> float:
-        """Normalised coupling rabi / omega_c."""
-        return self.rabi / self.omega_c
+        """Normalised coupling Omega_R / omega_c: rabi itself, since omega_c = 1."""
+        return self.rabi
 
     @property
     def is_resonant(self) -> bool:
-        return abs(self.omega_e - self.omega_c) <= 1e-12 * max(self.omega_c, 1.0)
+        return abs(self.omega_e - 1.0) <= 1e-12
 
     @classmethod
     def from_eta(cls, eta: float, **kwargs) -> "SystemParams":
-        """Resonant parameter set with coupling given as eta = Omega_R / omega_c."""
-        omega_c = kwargs.pop("omega_c", 1.0)
-        return cls(rabi=eta * omega_c, omega_c=omega_c, **kwargs)
+        """Parameter set with coupling eta = Omega_R / omega_c; other fields as given."""
+        return cls(rabi=eta, **kwargs)

@@ -29,13 +29,12 @@ from .linalg import NullSpaceError, stationary_distribution
 class SecularGenerator:
     """Lindblad generator of rank-one dressed channels, in block form.
 
-    ``states`` holds the dressed eigenvectors as columns in the bare
-    basis; ``rates[to, from]`` is the summed rate of the channels
-    from -> to; ``out_rates[k]`` is the total out-rate of level k, which
-    also sets the decay of every coherence involving k.
+    It is exactly the Pauli rate equation: ``rates[to, from]`` is the
+    summed rate of the channels from -> to; ``out_rates[k]`` is the total
+    out-rate of level k, which also sets the decay of every coherence
+    involving k.
     """
 
-    states: np.ndarray
     rates: np.ndarray
     out_rates: np.ndarray
 
@@ -53,8 +52,7 @@ def build_liouvillian(basis, channels) -> SecularGenerator:
     """Pauli rate matrix and level out-rates of a channel table over the dressed basis."""
     rates = np.zeros((basis.dim, basis.dim))
     np.add.at(rates, (channels.to_index, channels.from_index), channels.rate)
-    return SecularGenerator(states=basis.states, rates=rates,
-                            out_rates=rates.sum(axis=0))
+    return SecularGenerator(rates=rates, out_rates=rates.sum(axis=0))
 
 
 class SteadyStateError(NullSpaceError):
@@ -80,9 +78,9 @@ def steady_state(lv: SecularGenerator) -> np.ndarray:
         ) from err
 
 
-def density_operator(lv: SecularGenerator, populations: np.ndarray) -> np.ndarray:
+def density_operator(basis, populations: np.ndarray) -> np.ndarray:
     """V diag(p) V^T: the state with dressed populations p, in the bare basis."""
-    rho = (lv.states * populations) @ lv.states.T
+    rho = (basis.states * populations) @ basis.states.T
     return 0.5 * (rho + rho.T)
 
 

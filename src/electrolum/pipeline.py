@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import dissipators, ratemodel, spectrum as spectrum_mod
-from .hilbert import ModelSpace, SystemParams, build_space
+from .hilbert import SystemParams, build_space
 from .liouvillian import (
     SecularGenerator,
     build_liouvillian,
@@ -44,10 +44,8 @@ def resolve_mu(mode: str, basis: DressedBasis, absolute: float = 0.0) -> float:
     if mode == "absolute":
         return float(absolute)
     if mode == "omega_G":
-        gap = basis.omega_plus - (
-            basis.energies[basis.s_levels[1]] - basis.energies[basis.s_levels[0]]
-        )
-        return basis.omega_ground + max(0.0, gap)
+        centers = spectrum_mod.emission_line_centers(basis)
+        return basis.omega_ground + max(0.0, centers["plus"] - centers["central"])
     if mode == "omega_G_plus_omega_plus":
         return basis.omega_ground + basis.omega_plus
     raise ValueError(f"unknown mu mode {mode!r}; expected one of {MU_MODES}")
@@ -58,7 +56,6 @@ class DressedSystem:
     """Everything derived from one parameter set at one bias point."""
 
     params: SystemParams  # with mu already resolved to a number
-    space: ModelSpace
     basis: DressedBasis
     channels: dissipators.ChannelTable
     lv: SecularGenerator
@@ -67,7 +64,7 @@ class DressedSystem:
     @cached_property
     def rho_ss(self) -> np.ndarray:
         """Stationary density operator in the bare basis."""
-        return density_operator(self.lv, self.populations)
+        return density_operator(self.basis, self.populations)
 
     @property
     def x_pm(self):
@@ -99,7 +96,6 @@ def build_system(params: SystemParams, n_max: int = DEFAULT_N_MAX,
     lv = build_liouvillian(basis, channels)
     return DressedSystem(
         params=params,
-        space=space,
         basis=basis,
         channels=channels,
         lv=lv,

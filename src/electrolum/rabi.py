@@ -31,7 +31,7 @@ DEGENERACY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class BlockHamiltonian:
-    """H = omega_c a+a + omega_e |e><e| - omega_s |s><s| + rabi (a + a+)(|e><g| + |g><e|).
+    """H = a+a + omega_e |e><e| - omega_s |s><s| + rabi (a + a+)(|e><g| + |g><e|).
 
     ``empty[n]`` is the energy of |s,n>.  ``chains[p]`` is the
     ``(diagonal, off_diagonal)`` pair of the parity chain p (0 even,
@@ -48,9 +48,8 @@ def hamiltonian(params: SystemParams, space: ModelSpace) -> BlockHamiltonian:
     """The coupled Hamiltonian as empty-site energies and two parity chains."""
     k = np.arange(space.n_photon, dtype=float)
     hop = params.rabi * np.sqrt(k[1:])
-    chains = tuple((params.omega_c * k + params.omega_e * ((k + p) % 2), hop)
-                   for p in (0, 1))
-    return BlockHamiltonian(empty=params.omega_c * k - params.omega_s, chains=chains)
+    chains = tuple((k + params.omega_e * ((k + p) % 2), hop) for p in (0, 1))
+    return BlockHamiltonian(empty=k - params.omega_s, chains=chains)
 
 
 @dataclass(frozen=True)
@@ -93,6 +92,19 @@ class DressedBasis:
     @property
     def dim(self) -> int:
         return self.space.dim
+
+    @property
+    def lines(self) -> dict:
+        """The three reported emission lines as (upper, lower) eigenindices.
+
+        The central line s1 -> s0 is fed by the photons bound in |G>, the
+        other two are the polariton satellites.  The order (-, central,
+        +) breaks ties between equal centers, as at zero coupling.
+        """
+        s0, s1 = self.s_levels[:2]
+        g = self.index_ground
+        return {"minus": (self.index_minus, g), "central": (s1, s0),
+                "plus": (self.index_plus, g)}
 
     def state(self, k: int) -> np.ndarray:
         return self.states[:, k]

@@ -26,8 +26,6 @@ eta << 1 and gamma << gamma_cav.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .liouvillian import SecularGenerator
@@ -37,27 +35,6 @@ from .rabi import DressedBasis
 # population vector order used throughout this module, and its indices
 STATE_ORDER = ("s0", "s1", "G", "plus", "minus")
 S0, S1, G, PLUS, MINUS = range(5)
-
-
-@dataclass(frozen=True)
-class Populations:
-    """Steady-state occupation probabilities of the five retained levels."""
-
-    s0: float
-    s1: float
-    g: float
-    plus: float
-    minus: float
-
-    def __post_init__(self):
-        values = self.as_array()
-        if np.any(values < -1e-12) or np.any(values > 1 + 1e-12):
-            raise ValueError(f"populations outside [0, 1]: {values}")
-        if abs(values.sum() - 1.0) > 1e-12:
-            raise ValueError(f"populations sum to {values.sum()}, not 1")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.s0, self.s1, self.g, self.plus, self.minus])
 
 
 def five_levels(basis: DressedBasis) -> list:
@@ -95,21 +72,20 @@ def rate_matrix(rates: np.ndarray) -> np.ndarray:
     return mat
 
 
-def rate_steady_state(mat: np.ndarray) -> Populations:
-    """Stationary populations of the generator; raises on a degenerate kernel."""
+def rate_steady_state(mat: np.ndarray) -> np.ndarray:
+    """Stationary populations in STATE_ORDER; raises on a degenerate kernel."""
     try:
-        p = stationary_distribution(mat)
+        return stationary_distribution(mat)
     except NullSpaceError as err:
         raise NullSpaceError(f"rate system has no unique steady state: {err}") from err
-    return Populations(s0=p[0], s1=p[1], g=p[2], plus=p[3], minus=p[4])
 
 
-def fluxes(populations: Populations, rates: np.ndarray):
+def fluxes(populations: np.ndarray, rates: np.ndarray):
     """Emitted photon flux of the three lines: (f_central, f_plus, f_minus)."""
     return (
-        populations.s1 * rates[S0, S1],
-        populations.plus * rates[G, PLUS],
-        populations.minus * rates[G, MINUS],
+        populations[S1] * rates[S0, S1],
+        populations[PLUS] * rates[G, PLUS],
+        populations[MINUS] * rates[G, MINUS],
     )
 
 

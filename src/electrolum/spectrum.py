@@ -142,14 +142,9 @@ def integrate_peak(spec: Spectrum, center: float, halfwidth: float) -> float:
 
 
 def emission_line_centers(basis: DressedBasis):
-    """Frequencies of the three reported lines: (- -> G), (s1 -> s0), (+ -> G)."""
+    """Frequencies of the three reported lines (:attr:`DressedBasis.lines`)."""
     e = basis.energies
-    central = float(e[basis.s_levels[1]] - e[basis.s_levels[0]])
-    return {
-        "minus": basis.omega_minus,
-        "central": central,
-        "plus": basis.omega_plus,
-    }
+    return {name: float(e[up] - e[low]) for name, (up, low) in basis.lines.items()}
 
 
 def default_windows(basis: DressedBasis):
@@ -170,8 +165,8 @@ def default_windows(basis: DressedBasis):
             "emission line centers closer than 10 grid spacings; "
             "windows cannot resolve the peaks"
         )
-    halfwidth_lo = np.concatenate([[gaps[0] / 2 if len(gaps) else 0.0], gaps / 2])
-    halfwidth_hi = np.concatenate([gaps / 2, [gaps[-1] / 2 if len(gaps) else 0.0]])
+    halfwidth_lo = np.concatenate([gaps[:1], gaps]) / 2
+    halfwidth_hi = np.concatenate([gaps, gaps[-1:]]) / 2
     return {
         name: PeakWindow(center=c, lo=c - wlo, hi=c + whi)
         for name, c, wlo, whi in zip(order, centers, halfwidth_lo, halfwidth_hi)
@@ -181,13 +176,7 @@ def default_windows(basis: DressedBasis):
 def line_halfwidths(basis: DressedBasis, channels):
     """Lorentzian half-widths of the three lines: mean of the two level widths."""
     out = build_liouvillian(basis, channels).out_rates
-    s0, s1 = basis.s_levels[0], basis.s_levels[1]
-    g = basis.index_ground
-    return {
-        "minus": 0.5 * (out[basis.index_minus] + out[g]),
-        "central": 0.5 * (out[s1] + out[s0]),
-        "plus": 0.5 * (out[basis.index_plus] + out[g]),
-    }
+    return {name: 0.5 * (out[up] + out[low]) for name, (up, low) in basis.lines.items()}
 
 
 def line_windows(basis: DressedBasis, channels, scale: float = WINDOW_SCALE):

@@ -85,12 +85,12 @@ def extraction_operator(space) -> np.ndarray:
 
 
 def hamiltonian(params, space) -> np.ndarray:
-    """H = omega_c a+a + omega_e |e><e| - omega_s |s><s| + rabi (a + a+)(|e><g| + |g><e|)."""
+    """H = a+a + omega_e |e><e| - omega_s |s><s| + rabi (a + a+)(|e><g| + |g><e|)."""
     a = annihilation(space)
     x = a + a.conj().T
     sigma = transition(space, "g", "e") + transition(space, "e", "g")
     return (
-        params.omega_c * (a.conj().T @ a)
+        a.conj().T @ a
         + params.omega_e * transition(space, "e", "e")
         - params.omega_s * transition(space, "s", "s")
         + params.rabi * (x @ sigma)
@@ -152,7 +152,7 @@ def liouvillian(h: np.ndarray, basis, channels) -> np.ndarray:
 
 
 def system_liouvillian(system) -> np.ndarray:
-    return liouvillian(hamiltonian(system.params, system.space), system.basis,
+    return liouvillian(hamiltonian(system.params, system.basis.space), system.basis,
                        system.channels)
 
 

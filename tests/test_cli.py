@@ -46,6 +46,17 @@ class TestValidateConfig:
         assert config.n_max == DEFAULT_N_MAX
         assert config.grid == DEFAULT_GRID
 
+    @pytest.mark.parametrize("mu_mode", ["omega_G", "omega_G_plus_omega_plus"])
+    def test_mu_sweep_rejects_symbolic_mu_mode(self, mu_mode):
+        with pytest.raises(ConfigError, match="mu_mode"):
+            validate_config({"eta": 0.1, "mu_mode": mu_mode,
+                             "sweep": {"variable": "mu", "values": [0.1]}})
+
+    def test_mu_sweep_rejects_mu(self):
+        with pytest.raises(ConfigError, match="^mu: not allowed"):
+            validate_config({"eta": 0.1, "mu_mode": "absolute", "mu": 0.0,
+                             "sweep": {"variable": "mu", "values": [0.1]}})
+
     def test_unknown_key_rejected_with_name(self):
         with pytest.raises(ConfigError, match="unknown_key"):
             validate_config({"eta": 0.1, "unknown_key": 3})
@@ -236,6 +247,23 @@ class TestRunSweep:
         _, header, data = load_table(run_sweep(config, tmp_path))
         assert header[0] == "mu"
         assert data[:, 0] == approx([-0.01, 0.1])
+
+    def test_mu_sweep_metadata_says_absolute(self, tmp_path):
+        config = validate_config({
+            "eta": 0.1,
+            "n_max": 3,
+            "sweep": {"variable": "mu", "values": [-0.01, 0.1]},
+        })
+        assert config.mu_mode == "absolute"
+        metadata, _, _ = load_table(run_sweep(config, tmp_path))
+        assert "mu_mode = absolute" in metadata
+
+    def test_flux_window_line_only_with_window_columns(self, tmp_path):
+        for spectrum_on in (False, True):
+            config = sweep_config("eta", {"spectrum": spectrum_on})
+            metadata, _, _ = load_table(run_sweep(config, tmp_path / str(spectrum_on)))
+            windows = [line for line in metadata if line.startswith("flux windows")]
+            assert len(windows) == spectrum_on
 
     def test_analytic_regime_follows_injection_gate(self, tmp_path):
         # just below the |s,0> -> |-> threshold, inside the gate tolerance:

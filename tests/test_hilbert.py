@@ -111,7 +111,7 @@ class TestSystemParams:
         assert p.is_resonant
         assert not SystemParams(rabi=0.1, omega_e=1.2).is_resonant
 
-    @pytest.mark.parametrize("field", ["rabi", "omega_c", "omega_e", "omega_s",
+    @pytest.mark.parametrize("field", ["rabi", "omega_e", "omega_s",
                                        "gamma_in", "gamma_out", "gamma_cav"])
     def test_negative_rates_rejected(self, field):
         kwargs = {"rabi": 0.1, field: -1.0}

@@ -77,7 +77,7 @@ class TestGenerator:
 
     def test_apply_matches_direct_evaluation(self, rng):
         system, dense = _reference_generator()
-        h = dense_oracle.hamiltonian(system.params, system.space)
+        h = dense_oracle.hamiltonian(system.params, system.basis.space)
         for _ in range(10):
             rho = random_density(system.lv.dim, rng)
             direct = dense_oracle.lindblad_rhs(h, system.basis, system.channels, rho)
@@ -145,7 +145,7 @@ class TestSteadyState:
         basis = system.basis
         assert basis.population(system.rho_ss, basis.s_levels[0]) == approx(0.5, abs=1e-9)
         assert basis.population(system.rho_ss, basis.index_ground) == approx(0.5, abs=1e-9)
-        photons = np.real(np.trace(dense_oracle.number_photon(system.space) @ system.rho_ss))
+        photons = np.real(np.trace(dense_oracle.number_photon(basis.space) @ system.rho_ss))
         assert abs(photons) < 1e-12
 
     def test_reference_point_emittable_photon_number(self, low_bias_system):
@@ -174,8 +174,9 @@ class TestSteadyState:
             steady_state(build_liouvillian(system.basis, cavity_only))
         with pytest.raises(SteadyStateError):
             dense_oracle.steady_state(
-                dense_oracle.liouvillian(dense_oracle.hamiltonian(system.params, system.space),
-                                         system.basis, cavity_only))
+                dense_oracle.liouvillian(
+                    dense_oracle.hamiltonian(system.params, system.basis.space),
+                    system.basis, cavity_only))
 
 
 class TestSpectralStructure:
@@ -193,7 +194,7 @@ class TestSpectralStructure:
         # the dense kernel in the row-stacking convention (a permutation
         # similarity of the column-stacked generator) is the same state
         system, dense = _reference_generator()
-        d = system.space.dim
+        d = system.basis.space.dim
         perm = np.zeros((d * d, d * d))
         for i, j in itertools.product(range(d), range(d)):
             perm[i * d + j, j * d + i] = 1.0

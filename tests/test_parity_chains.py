@@ -19,7 +19,7 @@ MODES = ["omega_G", "omega_G_plus_omega_plus"]
 
 def dense_channels(system):
     """(from, to, rate, bath) rows from <i|op|j> = v_i^dagger op v_j of dense operators."""
-    basis, space, params = system.basis, system.space, system.params
+    basis, space, params = system.basis, system.basis.space, system.params
     e = basis.energies
     v = basis.states
     one_el = basis.one_electron_indices()
@@ -46,7 +46,7 @@ def dense_channels(system):
 def max_defects(system):
     """Energy, eigenvector and orthonormality defects against the dense Hamiltonian."""
     basis = system.basis
-    h = dense_oracle.hamiltonian(system.params, system.space)
+    h = dense_oracle.hamiltonian(system.params, system.basis.space)
     v = basis.states
     return (np.max(np.abs(basis.energies - np.linalg.eigvalsh(h))),
             np.max(np.abs(h @ v - v * basis.energies)),

@@ -46,7 +46,7 @@ class TestHamiltonian:
         off = h - np.diag(np.diag(h))
         assert np.max(np.abs(off)) == approx(0.0)
         e1 = basis_state(space, "e", 1)
-        assert np.real(e1.conj() @ h @ e1) == approx(params.omega_e + params.omega_c)
+        assert np.real(e1.conj() @ h @ e1) == approx(params.omega_e + 1.0)
 
     def test_coupling_elements(self):
         space = build_space(4)
@@ -64,7 +64,7 @@ class TestHamiltonian:
         h = dense_hamiltonian(params, space)
         for n in range(space.n_photon):
             sn = basis_state(space, "s", n)
-            assert np.real(sn.conj() @ h @ sn) == approx(n * params.omega_c - params.omega_s)
+            assert np.real(sn.conj() @ h @ sn) == approx(n - params.omega_s)
 
     def test_conserves_electron_number(self):
         space = build_space(6)
@@ -79,7 +79,7 @@ class TestHamiltonian:
 
     @pytest.mark.parametrize("params", [
         SystemParams.from_eta(0.3),
-        SystemParams(rabi=0.7, omega_c=1.2, omega_e=0.9, omega_s=0.25),
+        SystemParams(rabi=0.7, omega_e=0.9, omega_s=0.25),
     ])
     def test_chains_are_the_kron_hamiltonian(self, params):
         # the two parity chains and the empty sites hold every nonzero

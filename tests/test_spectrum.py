@@ -4,6 +4,7 @@ from pytest import approx
 
 import dense_oracle
 from electrolum import SystemParams, build_system
+from electrolum.dissipators import BATH_CAVITY
 from electrolum.ratemodel import analytic_gse
 from electrolum.spectrum import (
     Spectrum,
@@ -12,6 +13,7 @@ from electrolum.spectrum import (
     emission_spectrum,
     integrate_peak,
     line_fluxes,
+    line_halfwidths,
     line_windows,
     quadrature_moment,
     total_emission,
@@ -140,6 +142,25 @@ class TestWindows:
             assert a.hi == approx(b.lo)
         span_lo = ordered[0].center - ordered[0].halfwidth
         assert ordered[0].lo == approx(span_lo, abs=1e-12)
+
+    @pytest.mark.parametrize("mu_mode", ["omega_G", "omega_G_plus_omega_plus"])
+    @pytest.mark.parametrize("eta", [0.05, 0.3])
+    def test_reported_lines_are_cavity_channels(self, eta, mu_mode):
+        # each reported line is the cavity channel between its two levels:
+        # centered at that channel's frequency, with the mean out-rate of
+        # the two levels as half-width
+        system = build_system(SystemParams.from_eta(eta), mu_mode=mu_mode)
+        lines = system.basis.lines
+        centers = emission_line_centers(system.basis)
+        widths = line_halfwidths(system.basis, system.channels)
+        cavity = system.channels.of_bath(BATH_CAVITY)
+        out = system.lv.out_rates
+        assert list(lines) == list(centers) == ["minus", "central", "plus"]
+        for name, (up, low) in lines.items():
+            row = np.flatnonzero((cavity.from_index == up) & (cavity.to_index == low))
+            assert row.size == 1, name
+            assert cavity.freq[row[0]] == centers[name], name
+            assert widths[name] == 0.5 * (out[up] + out[low]), name
 
     def test_degenerate_centers_warn(self):
         from electrolum.hilbert import build_space
