@@ -11,44 +11,73 @@ Two modes, selected with ``--mode``:
 
 The configuration is a single JSON file; unknown keys are rejected with
 their full path so typos cannot silently fall back to defaults.  A
-missing key takes the default of the module it configures: the
-physical constants from ``SystemParams``, ``n_max`` from ``pipeline``,
-``grid`` and the flux-window scale from ``spectrum``; only ``mu_mode``,
-``outputs`` and ``methods`` default here (``DEFAULTS``).  Output
-files carry '#'-prefixed metadata lines (resolved parameters, package
-version) followed by a CSV header and full-precision rows, so a rerun
-with the same configuration is byte-identical and every value reparses
-exactly.
+missing key takes the default of the module that owns it: the physical
+constants from ``SystemParams``, ``n_max`` and ``grid`` from ``settings``
+(``DEFAULT_N_MAX``, ``DEFAULT_GRID``), the flux-window scale from
+``spectrum``; only ``mu_mode``, ``outputs`` and ``methods`` default here
+(``DEFAULTS``).  Output files carry '#'-prefixed metadata lines
+(resolved parameters, package version) followed by a CSV header and
+full-precision rows, so a rerun with the same configuration is
+byte-identical and every value reparses exactly.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+
+Validation, ``--help`` and every configuration error import only the
+standard library, ``hilbert`` and ``settings``.  The numerical modules
+(and numpy) are bound into this module's namespace when a run first
+needs them (:func:`_bind_run_path`), so a run still pays for them.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, ratemodel
-from .dissipators import gate_open
+from . import __version__
 from .hilbert import SystemParams
-from .linalg import LinalgError
-from .pipeline import DEFAULT_N_MAX, MU_MODES, build_system
-# integrate_peak is unused here: perfbench/traced.py wraps it at this lookup name;
-# WINDOW_SCALE is re-exported for perfbench/workloads.py
-from .spectrum import (
-    DEFAULT_GRID,
-    WINDOW_SCALE,
-    integrate_peak,
-    line_windows,
-    window_capture,
-    window_fluxes,
-)
+from .settings import DEFAULT_GRID, DEFAULT_N_MAX, MU_MODES
+
+# The run path's names, bound into this module by _bind_run_path on first
+# use.  integrate_peak is unused here: perfbench/traced.py wraps it at this
+# lookup name; WINDOW_SCALE is re-exported for perfbench/workloads.py.
+_RUN_PATH = ("np", "ratemodel", "gate_open", "LinalgError", "build_system", "WINDOW_SCALE",
+             "integrate_peak", "line_windows", "window_capture", "window_fluxes")
+
+
+@functools.cache
+def _bind_run_path():
+    """Import the numerical modules and bind the ``_RUN_PATH`` names here, once.
+
+    A name that is already bound keeps its value, so a wrapper set on
+    this module before the first run (as perfbench/traced.py does) is the
+    one the run calls.
+    """
+    import numpy
+
+    from . import dissipators, linalg, pipeline, ratemodel, spectrum
+
+    values = {"np": numpy, "ratemodel": ratemodel, "gate_open": dissipators.gate_open,
+              "LinalgError": linalg.LinalgError, "build_system": pipeline.build_system}
+    # the other five are spectrum's
+    values.update((name, getattr(spectrum, name)) for name in _RUN_PATH if name not in values)
+    for name, value in values.items():
+        globals().setdefault(name, value)
+
+
+def __getattr__(name):
+    # only the run path's names: a catch-all would answer the import
+    # system's probe for __path__ (``from .cli import main``) and load numpy
+    if name not in _RUN_PATH:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_run_path()
+    return globals()[name]
+
 
 # defaults of the settings that no other module owns
 DEFAULTS = {
@@ -91,7 +120,7 @@ def _require_number(value, path, minimum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     x = float(value)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ConfigError(f"{path}: must be finite, got {value!r}")
     if minimum is not None and x < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {value!r}")
@@ -250,6 +279,7 @@ def _metadata_lines(config: RunConfig, mode: str, skip=()):
 
 def run_spectrum(config: RunConfig, out_dir) -> Path:
     """Compute S(omega) on the configured grid and write the spectrum table."""
+    _bind_run_path()
     system = build_system(config.params(), n_max=config.n_max, mu_mode=config.mu_mode)
     gmin, gmax, points = config.grid
     spec = system.emission_spectrum(np.linspace(gmin, gmax, points))
@@ -271,8 +301,17 @@ def run_spectrum(config: RunConfig, out_dir) -> Path:
     return path
 
 
-def _row_fluxes(system):
-    """Capture-corrected window fluxes of the three lines for one system."""
+def window_line_fluxes(system) -> dict:
+    """Window estimate of each line's flux, as the sweep's ``f_*`` columns report it.
+
+    Returns ``{"central", "plus", "minus"}`` -> the exact integral of the
+    spectrum over the line's window (``line_windows``, +-``WINDOW_SCALE``
+    half-widths), divided by the fraction of one Lorentzian line that the
+    window captures.  Tails of neighbouring lines inside a window are
+    counted, as a measured spectrum counts them; ``system.line_fluxes()``
+    gives the exact channel-resolved fluxes.
+    """
+    _bind_run_path()
     windows = line_windows(system.basis, system.channels)
     fluxes = window_fluxes(system.lv, system.populations, system.channels, windows)
     return {name: flux / window_capture(WINDOW_SCALE) for name, flux in fluxes.items()}
@@ -293,7 +332,7 @@ def _analytic_fluxes(system):
 # (methods key, column names, the columns' values for one system)
 _SWEEP_GROUPS = (
     ("spectrum", ("f_C", "f_plus", "f_minus"),
-     lambda system: itemgetter("central", "plus", "minus")(_row_fluxes(system))),
+     lambda system: itemgetter("central", "plus", "minus")(window_line_fluxes(system))),
     ("analytic", ("f_C_analytic", "f_plus_analytic", "f_minus_analytic"), _analytic_fluxes),
     ("ratemodel", ("f_C_rate", "f_plus_rate", "f_minus_rate"),
      lambda system: system.rate_model_fluxes()),
@@ -304,6 +343,7 @@ def run_sweep(config: RunConfig, out_dir) -> Path:
     """Integrated line fluxes against the swept variable, one row per value."""
     if config.sweep is None:
         raise ConfigError("sweep.values: a sweep requires sweep.variable and sweep.values")
+    _bind_run_path()
     variable, values = config.sweep
     groups = [(names, fluxes) for key, names, fluxes in _SWEEP_GROUPS if config.methods[key]]
 
@@ -333,6 +373,8 @@ def run_sweep(config: RunConfig, out_dir) -> Path:
 
 def load_table(path):
     """Parse a file written by this module: (metadata, columns, array)."""
+    import numpy as np
+
     metadata, header, data = [], None, []
     for line in Path(path).read_text().splitlines():
         if line.startswith("#"):
@@ -364,7 +406,10 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 1
-    except LinalgError as err:
+    # LinalgError is bound with the run path, before anything can raise it;
+    # until then the empty tuple matches nothing, so a failed bind (a broken
+    # numpy, an interrupt) propagates as itself
+    except globals().get("LinalgError", ()) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
     print(path)

@@ -10,13 +10,16 @@ Conventions, used everywhere in the package:
   space.
 * Flat basis index = electronic_index * (n_max + 1) + n with the
   electronic order (s, g, e).
+
+This module imports no numpy: the command line validates a
+configuration with ``SystemParams`` alone, so that checking a
+configuration, ``--help`` and a configuration error skip numpy's import.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 ELECTRONIC_LABELS = ("s", "g", "e")
 
@@ -56,17 +59,15 @@ class ModelSpace:
             raise ValueError(f"flat index {k} outside [0, {self.dim})")
         return ELECTRONIC_LABELS[k // self.n_photon], k % self.n_photon
 
-    def chain_sites(self, parity: int) -> np.ndarray:
+    def chain_sites(self, parity: int) -> list[int]:
         """Flat indices of the sites of excitation-parity chain ``parity``.
 
         Site k holds k photons, on |g> when k + parity is even and on |e>
         otherwise: |g,0>, |e,1>, |g,2>, ... for parity 0 and |e,0>,
         |g,1>, |e,2>, ... for parity 1.
         """
-        k = np.arange(self.n_photon)
-        label = np.where((k + parity) % 2 == 0, ELECTRONIC_LABELS.index("g"),
-                         ELECTRONIC_LABELS.index("e"))
-        return label * self.n_photon + k
+        labels = ("g", "e") if parity % 2 == 0 else ("e", "g")
+        return [self.index(labels[k % 2], k) for k in range(self.n_photon)]
 
 
 def build_space(n_max: int) -> ModelSpace:
@@ -93,9 +94,9 @@ class SystemParams:
     def __post_init__(self):
         for name in ("rabi", "omega_e", "omega_s", "gamma_in", "gamma_out", "gamma_cav"):
             value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
+            if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not np.isfinite(self.mu):
+        if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu}")
 
     @property

@@ -35,9 +35,7 @@ from .liouvillian import (
     steady_state,
 )
 from .rabi import DressedBasis, dressed_basis, hamiltonian
-
-MU_MODES = ("absolute", "omega_G", "omega_G_plus_omega_plus")
-DEFAULT_N_MAX = 8
+from .settings import DEFAULT_N_MAX, MU_MODES
 
 
 def resolve_mu(mode: str, basis: DressedBasis, absolute: float = 0.0) -> float:

@@ -30,8 +30,8 @@ import numpy as np
 from .dissipators import BATH_CAVITY
 from .liouvillian import SecularGenerator, build_liouvillian
 from .rabi import DressedBasis
+from .settings import DEFAULT_GRID
 
-DEFAULT_GRID = (0.5, 1.5, 4001)
 # line windows span +-WINDOW_SCALE half-widths and capture (2/pi) arctan 5 of
 # each Lorentzian line; the sweep divides its window fluxes by that fraction
 WINDOW_SCALE = 5.0

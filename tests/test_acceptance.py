@@ -23,8 +23,7 @@ satellite fluxes").
 import numpy as np
 import pytest
 
-from electrolum import SystemParams, build_system
-from electrolum.cli import _row_fluxes
+from electrolum import SystemParams, build_system, cli
 from electrolum.liouvillian import check_density_operator
 from electrolum.ratemodel import analytic_el, analytic_gse
 from electrolum.spectrum import (
@@ -129,7 +128,7 @@ def test_criterion_1_low_bias_closed_form(runs):
         ok &= abs(f_p / a_p - 1) < 0.30
         ok &= abs(f_m / a_m - 1) < 0.30
         # the literal integrated form of the central flux
-        integrated = _row_fluxes(system)["central"]
+        integrated = cli.window_line_fluxes(system)["central"]
         ok &= abs(integrated / a_c - 1) < 0.20
         details.append(f"eta={eta}: errC={err_c:.2%}")
     monotone = central_errors[0] < central_errors[1] < central_errors[2]

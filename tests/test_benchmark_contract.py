@@ -10,28 +10,16 @@ workload's own input.
 """
 
 import importlib
-import importlib.util
 import json
 import math
 import random
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from electrolum import SystemParams, build_system, cli
 from electrolum import dissipators
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
+from perfbench_files import load
 
 
 @pytest.fixture(scope="module")

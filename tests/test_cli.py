@@ -16,10 +16,10 @@ from electrolum.cli import (
     validate_config,
 )
 from electrolum.dissipators import BATH_CAVITY
-from electrolum.pipeline import DEFAULT_N_MAX
+from electrolum.settings import DEFAULT_GRID, DEFAULT_N_MAX
 from electrolum.rabi import dressed_basis, hamiltonian
 from electrolum.ratemodel import analytic_el
-from electrolum.spectrum import DEFAULT_GRID, line_windows, window_capture
+from electrolum.spectrum import line_windows, window_capture
 
 
 def write_config(tmp_path, payload, name="config.json"):
