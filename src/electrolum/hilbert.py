@@ -53,12 +53,6 @@ class ModelSpace:
             raise ValueError(f"photon number {n} outside [0, {self.n_max}]")
         return ELECTRONIC_LABELS.index(label) * self.n_photon + n
 
-    def unindex(self, k: int):
-        """Inverse of :meth:`index`: flat index -> (label, n)."""
-        if not 0 <= k < self.dim:
-            raise ValueError(f"flat index {k} outside [0, {self.dim})")
-        return ELECTRONIC_LABELS[k // self.n_photon], k % self.n_photon
-
     def chain_sites(self, parity: int) -> list[int]:
         """Flat indices of the sites of excitation-parity chain ``parity``.
 
@@ -103,10 +97,6 @@ class SystemParams:
     def eta(self) -> float:
         """Normalised coupling Omega_R / omega_c: rabi itself, since omega_c = 1."""
         return self.rabi
-
-    @property
-    def is_resonant(self) -> bool:
-        return abs(self.omega_e - 1.0) <= 1e-12
 
     @classmethod
     def from_eta(cls, eta: float, **kwargs) -> "SystemParams":

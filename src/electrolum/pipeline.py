@@ -76,11 +76,8 @@ class DressedSystem:
         pops = ratemodel.rate_steady_state(ratemodel.rate_matrix(rates))
         return ratemodel.fluxes(pops, rates)
 
-    def emission_spectrum(self, grid=None) -> spectrum_mod.Spectrum:
-        if grid is None:
-            grid = spectrum_mod.default_grid()
-        return spectrum_mod.emission_spectrum(self.lv, self.populations, self.channels,
-                                              grid)
+    def emission_spectrum(self, grid) -> spectrum_mod.Spectrum:
+        return spectrum_mod.emission_spectrum(self.lv, self.populations, self.channels, grid)
 
 
 def build_system(params: SystemParams, n_max: int = DEFAULT_N_MAX,

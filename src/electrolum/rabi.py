@@ -106,12 +106,6 @@ class DressedBasis:
         return {"minus": (self.index_minus, g), "central": (s1, s0),
                 "plus": (self.index_plus, g)}
 
-    def state(self, k: int) -> np.ndarray:
-        return self.states[:, k]
-
-    def one_electron_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.sector == 1)
-
     def population(self, rho: np.ndarray, k: int) -> float:
         """<k| rho |k> for a density operator in the bare basis."""
         v = self.states[:, k]
@@ -140,7 +134,7 @@ def dressed_basis(h: BlockHamiltonian, space: ModelSpace) -> DressedBasis:
                              + [np.arange(nph) @ vecs**2 for _, vecs in solved])
 
     states = np.zeros((space.dim, space.dim))
-    states[np.arange(nph), level[:nph]] = 1.0
+    states[[space.index("s", n) for n in range(nph)], level[:nph]] = 1.0
     chains = []
     for p, (_, vecs) in enumerate(solved):
         levels = level[(1 + p) * nph:(2 + p) * nph]

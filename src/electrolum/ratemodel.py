@@ -38,9 +38,10 @@ S0, S1, G, PLUS, MINUS = range(5)
 
 
 def five_levels(basis: DressedBasis) -> list:
-    """Eigenindices of the retained levels, in STATE_ORDER."""
-    return [basis.s_levels[0], basis.s_levels[1], basis.index_ground,
-            basis.index_plus, basis.index_minus]
+    """Eigenindices of the retained levels, in STATE_ORDER: the ends of ``basis.lines``."""
+    lines = basis.lines
+    (s1, s0), (plus, ground) = lines["central"], lines["plus"]
+    return [s0, s1, ground, plus, lines["minus"][0]]
 
 
 def extract_rates(lv: SecularGenerator, basis: DressedBasis) -> np.ndarray:

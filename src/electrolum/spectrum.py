@@ -29,8 +29,7 @@ import numpy as np
 
 from .dissipators import BATH_CAVITY
 from .liouvillian import SecularGenerator, build_liouvillian
-from .rabi import DressedBasis
-from .settings import DEFAULT_GRID
+from .rabi import DEGENERACY_TOL, DressedBasis
 
 # line windows span +-WINDOW_SCALE half-widths and capture (2/pi) arctan 5 of
 # each Lorentzian line; the sweep divides its window fluxes by that fraction
@@ -61,10 +60,6 @@ class PeakWindow:
     @property
     def halfwidth(self) -> float:
         return 0.5 * (self.hi - self.lo)
-
-
-def default_grid() -> np.ndarray:
-    return np.linspace(*DEFAULT_GRID)
 
 
 def _check_populations(populations, dim: int) -> np.ndarray:
@@ -151,20 +146,16 @@ def default_windows(basis: DressedBasis):
     """Midpoint-bounded windows around the three emission lines.
 
     Adjacent windows share a boundary at the midpoint between centers;
-    the outer edges extend by the same half-gap.  Centers closer than
-    ten spacings of the default grid trigger a resolution warning (they
-    coincide at zero coupling).
+    the outer edges extend by the same half-gap.  Centers that coincide
+    within ``DEGENERACY_TOL``, as at zero coupling, cannot be told apart
+    and trigger a warning.
     """
-    grid_spacing = (DEFAULT_GRID[1] - DEFAULT_GRID[0]) / (DEFAULT_GRID[2] - 1)
     named = emission_line_centers(basis)
     order = sorted(named, key=named.get)
     centers = np.array([named[name] for name in order])
     gaps = np.diff(centers)
-    if np.any(np.abs(gaps) < 10 * grid_spacing):
-        warnings.warn(
-            "emission line centers closer than 10 grid spacings; "
-            "windows cannot resolve the peaks"
-        )
+    if np.any(gaps < DEGENERACY_TOL):
+        warnings.warn("emission line centers coincide; windows cannot resolve the peaks")
     halfwidth_lo = np.concatenate([gaps[:1], gaps]) / 2
     halfwidth_hi = np.concatenate([gaps, gaps[-1:]]) / 2
     return {

@@ -6,6 +6,7 @@ import pytest
 
 import dense_oracle
 from electrolum import SystemParams, build_system
+from electrolum.settings import DEFAULT_GRID
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -45,7 +46,7 @@ def high_bias_system(ref_params):
 
 @pytest.fixture(scope="session")
 def low_bias_spectrum(low_bias_system):
-    return low_bias_system.emission_spectrum()
+    return low_bias_system.emission_spectrum(np.linspace(*DEFAULT_GRID))
 
 
 @pytest.fixture(scope="session")

@@ -66,8 +66,8 @@ def parity(space) -> np.ndarray:
     """Excitation parity exp(i pi (a^dagger a + |e><e|)), diagonal in the bare basis."""
     diag = np.empty(space.dim)
     for k in range(space.dim):
-        label, n = space.unindex(k)
-        diag[k] = (-1.0) ** (n + (1 if label == "e" else 0))
+        el, n = divmod(k, space.n_photon)
+        diag[k] = (-1.0) ** (n + (1 if ELECTRONIC_LABELS[el] == "e" else 0))
     return np.diag(diag).astype(complex)
 
 

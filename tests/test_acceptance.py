@@ -26,6 +26,7 @@ import pytest
 from electrolum import SystemParams, build_system, cli
 from electrolum.liouvillian import check_density_operator
 from electrolum.ratemodel import analytic_el, analytic_gse
+from electrolum.settings import DEFAULT_GRID
 from electrolum.spectrum import (
     integrate_peak,
     line_windows,
@@ -99,11 +100,12 @@ class Runs:
                 SystemParams.from_eta(0.1), n_max=12, mu_mode=mode
             )
 
-    def spectrum(self, name, grid=None):
-        key = (name, None if grid is None else (grid[0], grid[-1], len(grid)))
-        if key not in self.spectra:
-            self.spectra[key] = self.systems[name].emission_spectrum(grid)
-        return self.spectra[key]
+    def spectrum(self, name):
+        """Spectrum of a run on the command line's default grid."""
+        if name not in self.spectra:
+            grid = np.linspace(*DEFAULT_GRID)
+            self.spectra[name] = self.systems[name].emission_spectrum(grid)
+        return self.spectra[name]
 
 
 @pytest.fixture(scope="module")

@@ -169,7 +169,7 @@ def loop_channels(basis, params):
             if weight >= WEIGHT_CUT:
                 rows.append((int(j), int(i), bare_rate * weight, e[j] - e[i], bath))
 
-    one_el = basis.one_electron_indices()
+    one_el = np.flatnonzero(basis.sector == 1)
     add(quadrature_elements(basis), [(j, i) for j in range(basis.dim)
                                      for i in range(basis.dim) if e[j] > e[i]],
         params.gamma_cav, BATH_CAVITY)
@@ -192,7 +192,7 @@ def level_label(basis, k):
     """
     if basis.sector[k] == 0:
         return ("s", basis.s_levels.index(k))
-    return ("1el", int(np.searchsorted(basis.one_electron_indices(), k)))
+    return ("1el", int(np.searchsorted(np.flatnonzero(basis.sector == 1), k)))
 
 
 class TestChannelTable:
@@ -243,8 +243,8 @@ class TestQuadratureSplit:
         basis, space, _ = make_basis(0.1)
         xm, _ = x_pm(basis)
         x = quadrature(space)
-        g = basis.state(basis.index_ground)
-        plus = basis.state(basis.index_plus)
+        g = basis.states[:, basis.index_ground]
+        plus = basis.states[:, basis.index_plus]
         assert g.conj() @ xm @ plus == approx(g.conj() @ x @ plus)
         assert plus.conj() @ xm @ g == approx(0.0, abs=1e-14)
 

@@ -45,7 +45,7 @@ class TestGenerator:
         assert lv.dim == basis.dim
         assert not lv.rates.any() and not lv.out_rates.any()
         dense = dense_oracle.liouvillian(h, basis, no_channels)
-        v = basis.state(1)
+        v = basis.states[:, 1]
         drho = dense_oracle.apply(dense, np.outer(v, v.conj()))
         assert np.max(np.abs(drho)) == approx(0.0, abs=1e-14)
 
@@ -59,7 +59,7 @@ class TestGenerator:
         assert lv.pauli_matrix[i, j] == approx(gamma)
         assert lv.out_rates[j] == approx(gamma)
         # the dense generator applied to |j><j| moves population j -> i
-        v = basis.state(j)
+        v = basis.states[:, j]
         drho = dressed(basis, dense_oracle.apply(
             dense_oracle.liouvillian(h, basis, ch), np.outer(v, v.conj())))
         assert np.real(drho[j, j]) == approx(-gamma)

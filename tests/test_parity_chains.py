@@ -22,7 +22,7 @@ def dense_channels(system):
     basis, space, params = system.basis, system.basis.space, system.params
     e = basis.energies
     v = basis.states
-    one_el = basis.one_electron_indices()
+    one_el = np.flatnonzero(basis.sector == 1)
     e_s0 = e[basis.s_levels[0]]
     rows = []
     for op, pairs, bare_rate, bath in (

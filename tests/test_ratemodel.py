@@ -91,6 +91,23 @@ class TestExtractRates:
         assert rates[G, S0] > 0 and rates[S0, S1] > 0 and rates[G, PLUS] > 0
 
 
+    @pytest.mark.parametrize("mu_mode", ["omega_G", "omega_G_plus_omega_plus"])
+    @pytest.mark.parametrize("eta", [0.05, 0.5])
+    @pytest.mark.parametrize("omega_e", [0.8, 1.2])
+    def test_five_levels_are_the_ends_of_the_reported_lines(self, omega_e, eta, mu_mode):
+        basis = build_system(SystemParams.from_eta(eta, omega_e=omega_e),
+                             mu_mode=mu_mode).basis
+        lines = basis.lines
+        (minus, ground), (s1, s0), (plus, ground_plus) = (
+            lines[name] for name in ("minus", "central", "plus"))
+        assert ground_plus == ground == basis.index_ground
+        assert five_levels(basis) == [s0, s1, ground, plus, minus]
+        assert [s0, s1, plus, minus] == [*basis.s_levels[:2], basis.index_plus,
+                                         basis.index_minus]
+        for n, k in enumerate((s0, s1)):
+            assert basis.states[basis.space.index("s", n), k] == 1.0
+
+
 class TestRateMatrix:
     def test_all_zero(self):
         m = rate_matrix(rate_block())

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from pytest import approx
@@ -163,13 +165,22 @@ class TestWindows:
             assert widths[name] == 0.5 * (out[up] + out[low]), name
 
     def test_degenerate_centers_warn(self):
+        # only coinciding centers warn: at eta 1e-3 they sit at 0.999, 1.0
+        # and 1.001, far closer than any useful grid spacing, and still apart
         from electrolum.hilbert import build_space
         from electrolum.rabi import dressed_basis, hamiltonian
 
         space = build_space(4)
-        basis = dressed_basis(hamiltonian(SystemParams.from_eta(0.0), space), space)
+
+        def basis(eta):
+            return dressed_basis(hamiltonian(SystemParams.from_eta(eta), space), space)
+
         with pytest.warns(UserWarning, match="resolve"):
-            default_windows(basis)
+            default_windows(basis(0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            windows = default_windows(basis(1e-3))
+        assert [w.center for w in windows.values()] == approx([0.999, 1.0, 1.001], abs=1e-5)
 
 
 class TestFluxConsistency:
