@@ -19,7 +19,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-from .hilbert import ModelSpace, SystemParams, build_space
+from .hilbert import ModelSpace, SystemParams
 
 # exported name -> defining module, imported on first access (PEP 562)
 _LAZY = {
@@ -28,7 +28,7 @@ _LAZY = {
     **dict.fromkeys(("Spectrum", "emission_spectrum", "integrate_peak"), "spectrum"),
 }
 
-__all__ = ["ModelSpace", "SystemParams", "build_space", *_LAZY, "__version__"]
+__all__ = ["ModelSpace", "SystemParams", *_LAZY, "__version__"]
 
 
 def __getattr__(name):

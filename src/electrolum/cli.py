@@ -35,6 +35,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from pathlib import Path
@@ -47,7 +48,8 @@ from .settings import DEFAULT_GRID, DEFAULT_N_MAX, MU_MODES
 # use.  integrate_peak is unused here: perfbench/traced.py wraps it at this
 # lookup name; WINDOW_SCALE is re-exported for perfbench/workloads.py.
 _RUN_PATH = ("np", "ratemodel", "gate_open", "LinalgError", "build_system", "WINDOW_SCALE",
-             "integrate_peak", "line_windows", "window_capture", "window_fluxes")
+             "integrate_peak", "emission_line_centers", "line_windows", "window_capture",
+             "window_fluxes")
 
 
 @functools.cache
@@ -64,7 +66,7 @@ def _bind_run_path():
 
     values = {"np": numpy, "ratemodel": ratemodel, "gate_open": dissipators.gate_open,
               "LinalgError": linalg.LinalgError, "build_system": pipeline.build_system}
-    # the other five are spectrum's
+    # the others are spectrum's
     values.update((name, getattr(spectrum, name)) for name in _RUN_PATH if name not in values)
     for name, value in values.items():
         globals().setdefault(name, value)
@@ -108,12 +110,8 @@ class RunConfig:
         return self.base.eta
 
     def params(self, eta: float | None = None, mu: float | None = None) -> SystemParams:
-        changes = {}
-        if eta is not None:
-            changes["rabi"] = eta  # omega_c = 1
-        if mu is not None:
-            changes["mu"] = mu
-        return replace(self.base, **changes)
+        changes = {"eta": eta, "mu": mu}
+        return replace(self.base, **{k: v for k, v in changes.items() if v is not None})
 
 
 def _require_number(value, path, minimum=None):
@@ -168,20 +166,15 @@ def validate_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a JSON object")
     allowed = {
-        "eta", "rabi", "gamma", "gamma_in", "gamma_out", "gamma_cav",
+        "eta", "gamma", "gamma_in", "gamma_out", "gamma_cav",
         "omega_e", "omega_s", "n_max", "mu_mode", "mu", "grid", "sweep",
         "outputs", "methods",
     }
     _check_keys(raw, allowed, "")
 
-    if "eta" in raw and "rabi" in raw:
-        raise ConfigError("eta: give either eta or rabi, not both")
-    if "eta" in raw:
-        eta = _require_number(raw["eta"], "eta", minimum=0.0)
-    elif "rabi" in raw:
-        eta = _require_number(raw["rabi"], "rabi", minimum=0.0)  # omega_c = 1
-    else:
-        raise ConfigError("eta: required (coupling strength eta = rabi/omega_c)")
+    if "eta" not in raw:
+        raise ConfigError("eta: required (coupling strength eta = Omega_R/omega_c)")
+    eta = _require_number(raw["eta"], "eta", minimum=0.0)
 
     # absent constants keep their SystemParams defaults; gamma sets both electron rates
     constants = {}
@@ -244,7 +237,7 @@ def validate_config(raw: dict) -> RunConfig:
                              dict.fromkeys(DEFAULTS["methods"], _require_bool))
 
     return RunConfig(
-        base=SystemParams.from_eta(eta, **constants),
+        base=SystemParams(eta=eta, **constants),
         n_max=n_max,
         mu_mode=mu_mode,
         grid=(grid["min"], grid["max"], grid["points"]),
@@ -278,11 +271,21 @@ def _metadata_lines(config: RunConfig, mode: str, skip=()):
 
 
 def run_spectrum(config: RunConfig, out_dir) -> Path:
-    """Compute S(omega) on the configured grid and write the spectrum table."""
+    """Compute S(omega) on the configured grid and write the spectrum table.
+
+    Warns, naming each line, when a reported line's center lies outside
+    the grid: the table then has no peak for that line.
+    """
     _bind_run_path()
     system = build_system(config.params(), n_max=config.n_max, mu_mode=config.mu_mode)
     gmin, gmax, points = config.grid
     spec = system.emission_spectrum(np.linspace(gmin, gmax, points))
+    outside = [f"{name} at {center:.6g}"
+               for name, center in emission_line_centers(system.basis).items()
+               if not gmin <= center <= gmax]
+    if outside:
+        warnings.warn(f"line centers outside the grid [{gmin:g}, {gmax:g}]: "
+                      + ", ".join(outside), stacklevel=2)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

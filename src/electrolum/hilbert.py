@@ -64,10 +64,6 @@ class ModelSpace:
         return [self.index(labels[k % 2], k) for k in range(self.n_photon)]
 
 
-def build_space(n_max: int) -> ModelSpace:
-    return ModelSpace(n_max=n_max)
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Physical constants of the open system, in units of the cavity frequency.
@@ -77,7 +73,7 @@ class SystemParams:
     coupling); everything else is a frequency or a rate and must be >= 0.
     """
 
-    rabi: float  # light-matter coupling Omega_R
+    eta: float  # normalised light-matter coupling Omega_R / omega_c
     omega_e: float = 1.0  # g -> e transition frequency
     omega_s: float = 0.0  # s -> g offset; cancels from every gated rate
     gamma_in: float = 0.5e-6  # bare electron injection rate
@@ -86,19 +82,9 @@ class SystemParams:
     mu: float = 0.0  # injecting-reservoir chemical potential
 
     def __post_init__(self):
-        for name in ("rabi", "omega_e", "omega_s", "gamma_in", "gamma_out", "gamma_cav"):
+        for name in ("eta", "omega_e", "omega_s", "gamma_in", "gamma_out", "gamma_cav"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu}")
-
-    @property
-    def eta(self) -> float:
-        """Normalised coupling Omega_R / omega_c: rabi itself, since omega_c = 1."""
-        return self.rabi
-
-    @classmethod
-    def from_eta(cls, eta: float, **kwargs) -> "SystemParams":
-        """Parameter set with coupling eta = Omega_R / omega_c; other fields as given."""
-        return cls(rabi=eta, **kwargs)

@@ -42,11 +42,6 @@ class SecularGenerator:
     def dim(self) -> int:
         return self.rates.shape[0]
 
-    @property
-    def pauli_matrix(self) -> np.ndarray:
-        """M with dp/dt = M p over the dressed populations; columns sum to zero."""
-        return self.rates - np.diag(self.out_rates)
-
 
 def build_liouvillian(basis, channels) -> SecularGenerator:
     """Pauli rate matrix and level out-rates of a channel table over the dressed basis."""
@@ -62,15 +57,18 @@ class SteadyStateError(NullSpaceError):
 def steady_state(lv: SecularGenerator) -> np.ndarray:
     """Unique stationary populations p_k of the dressed levels.
 
-    They are the stationary distribution of the Pauli matrix.  A unique
-    one leaves at most one level with zero out-rate, so every coherence
+    They are the stationary distribution of the Pauli rate equation,
+    solved from ``lv.rates`` alone: the solver ignores the diagonal and
+    reads the out-rates as the column sums of the off-diagonal rates,
+    which is what ``lv.out_rates`` holds.  A unique stationary state
+    leaves at most one level with zero out-rate, so every coherence
     decays and the stationary state is diagonal in the dressed basis
     (see :func:`density_operator`).  More than one closed class in the
     rate graph (for example with the electron channels switched off)
     raises SteadyStateError.
     """
     try:
-        return stationary_distribution(lv.pauli_matrix)
+        return stationary_distribution(lv.rates)
     except NullSpaceError as err:
         raise SteadyStateError(
             f"no unique stationary state: {err} "

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import dissipators, ratemodel, spectrum as spectrum_mod
-from .hilbert import SystemParams, build_space
+from .hilbert import ModelSpace, SystemParams
 from .liouvillian import (
     SecularGenerator,
     build_liouvillian,
@@ -83,7 +83,7 @@ class DressedSystem:
 def build_system(params: SystemParams, n_max: int = DEFAULT_N_MAX,
                  mu_mode: str = "absolute") -> DressedSystem:
     """Assemble the full open system and solve for its steady state."""
-    space = build_space(n_max)
+    space = ModelSpace(n_max)
     basis = dressed_basis(hamiltonian(params, space), space)
     mu = resolve_mu(mu_mode, basis, absolute=params.mu)
     params = replace(params, mu=mu)

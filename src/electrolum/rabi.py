@@ -8,7 +8,7 @@ tridiagonal chains of n_max + 1 sites each,
 
     even:  |g,0> - |e,1> - |g,2> - ...      odd:  |e,0> - |g,1> - |e,2> - ...
 
-with photon number k at site k and hopping rabi * sqrt(k + 1) between
+with photon number k at site k and hopping eta * sqrt(k + 1) between
 sites k and k + 1 (Casanova et al., PRL 105, 263603 (2010); Braak,
 PRL 107, 100401 (2011)).  Each chain is diagonalized on its own in real
 arithmetic, and no dense Hamiltonian is built.  The three lowest
@@ -25,13 +25,13 @@ import numpy as np
 from .hilbert import ModelSpace, SystemParams
 
 # Two one-electron levels closer than this are treated as degenerate when
-# assigning the -/+ labels (only relevant at rabi = 0).
+# assigning the -/+ labels (only relevant at eta = 0).
 DEGENERACY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class BlockHamiltonian:
-    """H = a+a + omega_e |e><e| - omega_s |s><s| + rabi (a + a+)(|e><g| + |g><e|).
+    """H = a+a + omega_e |e><e| - omega_s |s><s| + eta (a + a+)(|e><g| + |g><e|).
 
     ``empty[n]`` is the energy of |s,n>.  ``chains[p]`` is the
     ``(diagonal, off_diagonal)`` pair of the parity chain p (0 even,
@@ -47,7 +47,7 @@ class BlockHamiltonian:
 def hamiltonian(params: SystemParams, space: ModelSpace) -> BlockHamiltonian:
     """The coupled Hamiltonian as empty-site energies and two parity chains."""
     k = np.arange(space.n_photon, dtype=float)
-    hop = params.rabi * np.sqrt(k[1:])
+    hop = params.eta * np.sqrt(k[1:])
     chains = tuple((k + params.omega_e * ((k + p) % 2), hop) for p in (0, 1))
     return BlockHamiltonian(empty=k - params.omega_s, chains=chains)
 

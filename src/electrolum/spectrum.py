@@ -18,6 +18,19 @@ stationary component, so the coherent term Tr[X+ rho]Tr[X- rho] is
 exactly zero here.  Lines and their window integrals (:func:`window_fluxes`)
 are exact, with no grid artifacts; the time-domain transform is kept
 only as a test oracle.
+
+Two rules decide which photons belong to a reported line.
+:func:`line_fluxes` assigns every cavity channel by its frequency to
+the midpoint-bounded windows of :func:`default_windows` (a channel on a
+shared edge goes to the lower line) and sums rate x upper population:
+the exact channel-resolved flux.  The sweep's window columns
+(``cli.window_line_fluxes``) integrate the whole spectrum over
++-``WINDOW_SCALE`` line half-widths (:func:`line_windows`) and divide
+by the captured fraction of one Lorentzian, so they count the tails of
+neighbouring lines, as a measurement would.  At n_max 8 the window
+estimate over the exact flux is 1.72 (minus) and 1.68 (plus) at
+``omega_G``, eta 0.03; 1.07 and 1.06 there at eta 0.1; and 1.21 for the
+central line at ``omega_G_plus_omega_plus``, eta 0.03.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ REF_GAMMA_CAV = 7e-4
 
 @pytest.fixture(scope="session")
 def ref_params():
-    return SystemParams.from_eta(REF_ETA)
+    return SystemParams(eta=REF_ETA)
 
 
 @pytest.fixture(scope="session")

@@ -93,7 +93,7 @@ def hamiltonian(params, space) -> np.ndarray:
         a.conj().T @ a
         + params.omega_e * transition(space, "e", "e")
         - params.omega_s * transition(space, "s", "s")
-        + params.rabi * (x @ sigma)
+        + params.eta * (x @ sigma)
     )
 
 
@@ -227,6 +227,18 @@ def null_vector(a, rtol: float = 1e-9, kernel_gap: float = 1e3):
     k = int(np.argmax(np.abs(x)))
     phase = x[k] / abs(x[k])
     return x / phase
+
+
+def generator(rates) -> np.ndarray:
+    """Pauli rate generator of off-diagonal ``rates[to, from]``; columns sum to zero.
+
+    The diagonal of ``rates`` is dropped and rebuilt as minus the column
+    sums of the off-diagonal rates: the tests' one copy of the formula
+    that the production solver never builds.
+    """
+    rates = np.array(rates, dtype=float)
+    np.fill_diagonal(rates, 0.0)
+    return rates - np.diag(rates.sum(axis=0))
 
 
 def steady_state(mat: np.ndarray) -> np.ndarray:

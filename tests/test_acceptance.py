@@ -63,10 +63,10 @@ class Runs:
 
         for eta in ETAS:
             self.systems[f"low_bias_eta={eta}"] = build_system(
-                SystemParams.from_eta(eta), mu_mode="omega_G"
+                SystemParams(eta=eta), mu_mode="omega_G"
             )
             self.systems[f"high_bias_eta={eta}"] = build_system(
-                SystemParams.from_eta(eta), mu_mode="omega_G_plus_omega_plus"
+                SystemParams(eta=eta), mu_mode="omega_G_plus_omega_plus"
             )
 
         rng = np.random.default_rng(SEED)
@@ -76,8 +76,8 @@ class Runs:
             gamma_cav = 10 ** rng.uniform(np.log10(2e-4), np.log10(1.5e-3))
             gamma = gamma_cav * 10 ** rng.uniform(-4, -2)
             mode = "omega_G" if k % 2 == 0 else "omega_G_plus_omega_plus"
-            params = SystemParams.from_eta(
-                eta, gamma_in=gamma, gamma_out=gamma, gamma_cav=gamma_cav
+            params = SystemParams(
+                eta=eta, gamma_in=gamma, gamma_out=gamma, gamma_cav=gamma_cav
             )
             name = f"random_{k:02d}"
             self.systems[name] = build_system(params, mu_mode=mode)
@@ -88,16 +88,16 @@ class Runs:
         self.threshold = threshold
         for delta in (-0.01, -0.005, 0.005, 0.01):
             self.systems[f"bias_sweep_{delta:+}"] = build_system(
-                SystemParams.from_eta(0.1, mu=threshold + delta), mu_mode="absolute"
+                SystemParams(eta=0.1, mu=threshold + delta), mu_mode="absolute"
             )
 
         self.systems["dark"] = build_system(
-            SystemParams.from_eta(0.0, mu=0.0), mu_mode="absolute"
+            SystemParams(eta=0.0, mu=0.0), mu_mode="absolute"
         )
 
         for mode, tag in (("omega_G", "low"), ("omega_G_plus_omega_plus", "high")):
             self.systems[f"cutoff12_{tag}"] = build_system(
-                SystemParams.from_eta(0.1), n_max=12, mu_mode=mode
+                SystemParams(eta=0.1), n_max=12, mu_mode=mode
             )
 
     def spectrum(self, name):

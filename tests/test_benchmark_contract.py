@@ -29,7 +29,7 @@ def traced():
 
 @pytest.fixture(scope="module")
 def system():
-    return build_system(SystemParams.from_eta(0.1), n_max=4, mu_mode="omega_G")
+    return build_system(SystemParams(eta=0.1), n_max=4, mu_mode="omega_G")
 
 
 def test_every_traced_electrolum_target_resolves(traced):

@@ -1,12 +1,13 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
 from pytest import approx
 
 from channel_rows import find_channel
-from electrolum import SystemParams, build_space, build_system, cli, spectrum
+from electrolum import ModelSpace, SystemParams, build_system, cli, spectrum
 from electrolum.cli import (
     ConfigError,
     load_table,
@@ -42,7 +43,7 @@ class TestValidateConfig:
     @pytest.mark.parametrize("eta", [0.0, 0.1, 0.7])
     def test_defaults_are_the_library_defaults(self, eta):
         config = validate_config({"eta": eta})
-        assert config.params() == SystemParams.from_eta(eta)
+        assert config.params() == SystemParams(eta=eta)
         assert config.n_max == DEFAULT_N_MAX
         assert config.grid == DEFAULT_GRID
 
@@ -73,9 +74,11 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="eta"):
             validate_config({})
 
-    def test_eta_and_rabi_exclusive(self):
-        with pytest.raises(ConfigError):
-            validate_config({"eta": 0.1, "rabi": 0.1})
+    @pytest.mark.parametrize("raw", [{"rabi": 0.1}, {"eta": 0.1, "rabi": 0.1}])
+    def test_rabi_key_is_unknown(self, raw):
+        # eta is the coupling's only name
+        with pytest.raises(ConfigError, match="^unknown configuration key: rabi$"):
+            validate_config(raw)
 
     def test_absolute_mode_requires_mu(self):
         with pytest.raises(ConfigError, match="mu"):
@@ -164,6 +167,25 @@ class TestRunSpectrum:
         })
         _, _, data = load_table(run_spectrum(config, tmp_path))
         assert np.max(np.abs(data[:, 1])) < 1e-16
+
+    def test_warns_for_each_line_outside_the_grid(self, tmp_path):
+        # at eta 0.8 the lower satellite sits at 0.26, below the default
+        # grid: the table has no peak there, and the run still succeeds
+        config_path = write_config(tmp_path, {"eta": 0.8})
+        with pytest.warns(UserWarning, match="outside the grid") as record:
+            code = main(["--config", str(config_path), "--out", str(tmp_path),
+                         "--mode", "spectrum"])
+        assert code == 0
+        assert len(record) == 1
+        message = str(record[0].message)
+        assert "minus at 0.262464" in message
+        assert "plus" not in message and "central" not in message
+
+    def test_no_warning_with_every_line_inside_the_grid(self, tmp_path):
+        config = validate_config({"eta": 0.1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_spectrum(config, tmp_path)
 
 
 # the sweep's optional column groups, in CSV order
@@ -268,8 +290,8 @@ class TestRunSweep:
     def test_analytic_regime_follows_injection_gate(self, tmp_path):
         # just below the |s,0> -> |-> threshold, inside the gate tolerance:
         # the channel is open, so the closed forms must be the high-bias ones
-        space = build_space(3)
-        basis = dressed_basis(hamiltonian(SystemParams.from_eta(0.1), space), space)
+        space = ModelSpace(3)
+        basis = dressed_basis(hamiltonian(SystemParams(eta=0.1), space), space)
         mu = float(basis.energies[basis.index_minus]) - 5e-10
         config = validate_config({
             "eta": 0.1,
@@ -380,6 +402,13 @@ class TestMain:
                      "--mode", "spectrum"])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_rabi_config_exit_one(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, {"rabi": 0.1})
+        code = main(["--config", str(config_path), "--out", str(tmp_path),
+                     "--mode", "spectrum"])
+        assert code == 1
+        assert "unknown configuration key: rabi" in capsys.readouterr().err
 
     def test_missing_file_exit_one(self, tmp_path, capsys):
         code = main(["--config", str(tmp_path / "absent.json"),

@@ -20,13 +20,14 @@ from electrolum.dissipators import (
     quadrature_elements,
     x_pm,
 )
-from electrolum.hilbert import SystemParams, build_space
+from electrolum.hilbert import ModelSpace, SystemParams
+from electrolum.pipeline import build_system
 from electrolum.rabi import dressed_basis, hamiltonian
 
 
 def make_basis(eta, n_max=8, **kwargs):
-    space = build_space(n_max)
-    params = SystemParams.from_eta(eta, **kwargs)
+    space = ModelSpace(n_max)
+    params = SystemParams(eta=eta, **kwargs)
     return dressed_basis(hamiltonian(params, space), space), space, params
 
 
@@ -151,6 +152,31 @@ class TestInjectionChannels:
         lo_keys = {(ch.from_index, ch.to_index) for ch in lo}
         hi_keys = {(ch.from_index, ch.to_index) for ch in hi}
         assert lo_keys <= hi_keys
+
+    @pytest.mark.parametrize("mu_mode", ["omega_G", "omega_G_plus_omega_plus"])
+    @given(
+        omega_e=st.floats(0.7, 1.3),
+        omega_s=st.floats(0.0, 2.0),
+        eta=st.floats(0.01, 1.2),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_symbolic_bias_point_is_stable_under_ulp_shifts(self, mu_mode, omega_e,
+                                                            omega_s, eta):
+        # a symbolic bias point sits exactly on an injection threshold; the
+        # channel set it opens must not depend on the last bits of mu
+        system = build_system(SystemParams(eta=eta, omega_e=omega_e, omega_s=omega_s),
+                              n_max=10, mu_mode=mu_mode)
+        basis, mu = system.basis, system.params.mu
+
+        def keys(mu):
+            return {(ch.from_index, ch.to_index) for ch in channels_in(basis, 1.0, mu)}
+
+        at = keys(mu)
+        for direction in (-np.inf, np.inf):
+            shifted = mu
+            for _ in range(4):
+                shifted = np.nextafter(shifted, direction)
+                assert keys(shifted) == at, (shifted - mu)
 
     def test_gate_zero_is_open(self):
         assert gate_open(0.0)

@@ -3,20 +3,20 @@ import pytest
 from pytest import approx
 
 from dense_oracle import annihilation, basis_state, number_electron, parity, transition
-from electrolum.hilbert import ELECTRONIC_LABELS, SystemParams, build_space
+from electrolum.hilbert import ELECTRONIC_LABELS, ModelSpace, SystemParams
 
 
 class TestModelSpace:
     def test_dimensions(self):
-        assert build_space(1).dim == 6
-        assert build_space(8).dim == 27
+        assert ModelSpace(1).dim == 6
+        assert ModelSpace(8).dim == 27
 
     def test_rejects_no_photon_level(self):
         with pytest.raises(ValueError):
-            build_space(0)
+            ModelSpace(0)
 
     def test_index_round_trip(self):
-        space = build_space(4)
+        space = ModelSpace(4)
         seen = set()
         for label in ELECTRONIC_LABELS:
             for n in range(space.n_photon):
@@ -26,7 +26,7 @@ class TestModelSpace:
         assert seen == set(range(space.dim))
 
     def test_index_bounds(self):
-        space = build_space(2)
+        space = ModelSpace(2)
         with pytest.raises(ValueError):
             space.index("q", 0)
         with pytest.raises(ValueError):
@@ -35,7 +35,7 @@ class TestModelSpace:
     def test_chain_sites_partition_the_occupied_states(self):
         # site k of chain p holds k photons on |g> or |e>, with excitation
         # parity (-1)^(k + [e]) = (-1)^p; the chains cover every |g,n>, |e,n>
-        space = build_space(5)
+        space = ModelSpace(5)
         sites = []
         for p in (0, 1):
             for k, flat in enumerate(space.chain_sites(p)):
@@ -50,7 +50,7 @@ class TestModelSpace:
 
 class TestOperators:
     def test_annihilation_ladder(self):
-        space = build_space(3)
+        space = ModelSpace(3)
         a = annihilation(space)
         bra = basis_state(space, "g", 0)
         ket = basis_state(space, "g", 1)
@@ -61,7 +61,7 @@ class TestOperators:
             assert np.linalg.norm(a @ basis_state(space, label, 0)) == approx(0.0)
 
     def test_commutator_below_cutoff(self):
-        space = build_space(5)
+        space = ModelSpace(5)
         a = annihilation(space)
         comm = a @ a.conj().T - a.conj().T @ a
         for label in ELECTRONIC_LABELS:
@@ -70,23 +70,23 @@ class TestOperators:
                 assert v.conj() @ comm @ v == approx(1.0)
 
     def test_transition_action(self):
-        space = build_space(4)
+        space = ModelSpace(4)
         t_ge = transition(space, "g", "e")
         assert np.allclose(t_ge @ basis_state(space, "g", 3), basis_state(space, "e", 3))
         assert np.linalg.norm(t_ge @ basis_state(space, "s", 2)) == approx(0.0)
 
     def test_transition_projector_trace(self):
-        space = build_space(4)
+        space = ModelSpace(4)
         proj = transition(space, "e", "e")
         assert np.trace(proj) == approx(space.n_max + 1)
         assert np.allclose(proj @ proj, proj)
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
-            transition(build_space(2), "g", "x")
+            transition(ModelSpace(2), "g", "x")
 
     def test_electron_number(self):
-        space = build_space(3)
+        space = ModelSpace(3)
         n_el = number_electron(space)
         assert basis_state(space, "s", 2).conj() @ n_el @ basis_state(space, "s", 2) \
             == approx(0.0)
@@ -95,7 +95,7 @@ class TestOperators:
         assert np.trace(n_el) == approx(2 * (space.n_max + 1))
 
     def test_parity_diagonal_values(self):
-        space = build_space(2)
+        space = ModelSpace(2)
         pi = parity(space)
         assert basis_state(space, "g", 1).conj() @ pi @ basis_state(space, "g", 1) \
             == approx(-1.0)
@@ -104,18 +104,21 @@ class TestOperators:
 
 
 class TestSystemParams:
-    def test_from_eta(self):
-        p = SystemParams.from_eta(0.1)
-        assert p.eta == approx(0.1)
+    def test_eta_is_the_only_coupling_name(self):
+        assert SystemParams(eta=0.1).eta == 0.1
+        assert SystemParams(0.1) == SystemParams(eta=0.1)
+        with pytest.raises(TypeError, match="rabi"):
+            SystemParams(rabi=0.1)
+        assert not hasattr(SystemParams, "from_eta")
 
-    @pytest.mark.parametrize("field", ["rabi", "omega_e", "omega_s",
+    @pytest.mark.parametrize("field", ["eta", "omega_e", "omega_s",
                                        "gamma_in", "gamma_out", "gamma_cav"])
     def test_negative_rates_rejected(self, field):
-        kwargs = {"rabi": 0.1, field: -1.0}
+        kwargs = {"eta": 0.1, field: -1.0}
         with pytest.raises(ValueError, match=field):
             SystemParams(**kwargs)
 
     def test_negative_mu_allowed(self):
         # the dressed ground energy is negative, so the bias must be
         # allowed to follow it
-        assert SystemParams(rabi=0.1, mu=-0.05).mu == approx(-0.05)
+        assert SystemParams(eta=0.1, mu=-0.05).mu == approx(-0.05)

@@ -4,7 +4,7 @@ import pytest
 from pytest import approx
 from scipy.integrate import solve_ivp
 
-from dense_oracle import null_vector
+from dense_oracle import generator, null_vector
 from electrolum import SystemParams, build_system
 from electrolum.dissipators import BATH_CAVITY
 from electrolum.linalg import (
@@ -13,13 +13,6 @@ from electrolum.linalg import (
     stationary_distribution,
 )
 from electrolum.spectrum import default_windows
-
-
-def generator(rates):
-    """Rate generator with off-diagonal rates[to, from]; columns sum to zero."""
-    rates = np.array(rates, dtype=float)
-    np.fill_diagonal(rates, 0.0)
-    return rates - np.diag(rates.sum(axis=0))
 
 
 def exact_stationary(m, dps):
@@ -72,8 +65,8 @@ class TestStationaryDistribution:
     def test_pauli_matrix_against_exact_arithmetic(self, mode):
         # levels with weights near 1e-50 sit next to order-one ones; an
         # SVD kernel gets such entries wrong in sign and magnitude
-        system = build_system(SystemParams.from_eta(0.1), n_max=12, mu_mode=mode)
-        m = system.lv.pauli_matrix
+        system = build_system(SystemParams(eta=0.1), n_max=12, mu_mode=mode)
+        m = system.lv.rates
         p = stationary_distribution(m)
         assert np.min(p[p > 0]) < 1e-40
         assert_matches_exact(p, m)
@@ -83,8 +76,8 @@ class TestStationaryDistribution:
         # cavity channels in its window; with the stationary populations
         # carried through unchanged it matches exact arithmetic to the
         # accuracy of the populations themselves
-        system = build_system(SystemParams.from_eta(0.1), n_max=12, mu_mode="omega_G")
-        exact = exact_stationary(system.lv.pauli_matrix, 120)
+        system = build_system(SystemParams(eta=0.1), n_max=12, mu_mode="omega_G")
+        exact = exact_stationary(system.lv.rates, 120)
         win = default_windows(system.basis)["central"]
         with mpmath.workdps(120):
             flux = mpmath.fsum(
@@ -140,7 +133,6 @@ class TestStationaryDistribution:
 
     @pytest.mark.parametrize("m", [
         np.array([[-1.0, -1.0], [1.0, 1.0]]),  # negative off-diagonal rate
-        np.array([[-1.0, 1.0], [1.0, -1.1]]),  # column does not sum to zero
         np.array([[-1.0, 1.0], [1.0, -1.0]]) + 0j,  # complex
         np.array([[0.0, np.nan], [0.0, 0.0]]),
         np.zeros((2, 3)),
@@ -149,6 +141,23 @@ class TestStationaryDistribution:
     def test_rejects_non_generator(self, m):
         with pytest.raises(LinalgError):
             stationary_distribution(m)
+
+    def test_diagonal_is_ignored(self):
+        # a zero diagonal, the generator's own and arbitrary finite values
+        # all give the same p, bit for bit; the stiff rates and the 1e-30
+        # link make any use of the diagonal show in the small entries
+        rng = np.random.default_rng(14)
+        rates = rng.uniform(0.0, 1.0, (6, 6)) * np.logspace(-12, 0, 6)
+        rates[5, :] = 0.0
+        rates[5, 4] = 1e-30
+        np.fill_diagonal(rates, 0.0)
+        p = stationary_distribution(rates)
+        assert p.min() > 0.0
+        for diagonal in (np.diag(generator(rates)), rng.uniform(-1e3, 1e3, 6),
+                         np.full(6, -np.finfo(float).max)):
+            m = rates.copy()
+            np.fill_diagonal(m, diagonal)
+            assert stationary_distribution(m).tobytes() == p.tobytes()
 
 
 class TestNullVector:
@@ -177,7 +186,7 @@ class TestNullVector:
         from electrolum import SystemParams, build_system
         from electrolum.ratemodel import extract_rates, rate_matrix
 
-        system = build_system(SystemParams.from_eta(0.1), mu_mode="omega_G")
+        system = build_system(SystemParams(eta=0.1), mu_mode="omega_G")
         m = rate_matrix(extract_rates(system.lv, system.basis))
         x = null_vector(m.astype(complex))
         p_kernel = np.real(x)

@@ -7,7 +7,7 @@ from pytest import approx
 
 import dense_oracle
 from channel_rows import channel_table
-from electrolum import SystemParams, build_space, build_system
+from electrolum import ModelSpace, SystemParams, build_system
 from electrolum.dissipators import BATH_CAVITY, channels_cavity
 from electrolum.liouvillian import (
     SteadyStateError,
@@ -26,8 +26,8 @@ def random_density(dim, rng):
 
 
 def small_basis(n_max=2, eta=0.1):
-    space = build_space(n_max)
-    params = SystemParams.from_eta(eta)
+    space = ModelSpace(n_max)
+    params = SystemParams(eta=eta)
     basis = dressed_basis(hamiltonian(params, space), space)
     return dense_oracle.hamiltonian(params, space), basis, space
 
@@ -55,8 +55,7 @@ class TestGenerator:
         i, j = 0, 3
         ch = channel_table([(j, i, gamma, basis.energies[j] - basis.energies[i], BATH_CAVITY)])
         lv = build_liouvillian(basis, ch)
-        assert lv.pauli_matrix[j, j] == approx(-gamma)
-        assert lv.pauli_matrix[i, j] == approx(gamma)
+        assert lv.rates[i, j] == approx(gamma)
         assert lv.out_rates[j] == approx(gamma)
         # the dense generator applied to |j><j| moves population j -> i
         v = basis.states[:, j]
@@ -68,7 +67,10 @@ class TestGenerator:
     def test_trace_preservation(self, rng):
         system, dense = _reference_generator()
         lv = system.lv
-        assert np.max(np.abs(lv.pauli_matrix.sum(axis=0))) < 1e-12 * np.max(lv.out_rates)
+        # the out-rates close every column of the Pauli matrix: with no
+        # self-jump, -out_rates is the diagonal the steady-state solver ignores
+        assert not np.diag(lv.rates).any()
+        assert np.array_equal(lv.out_rates, lv.rates.sum(axis=0))
         rho = random_density(lv.dim, rng)
         assert abs(np.trace(dense_oracle.apply(dense, rho))) < 1e-12
         # the trace functional is a left null vector of the dense generator
@@ -91,7 +93,7 @@ class TestGenerator:
         v = basis.states
         p = rng.dirichlet(np.ones(lv.dim))
         drho = dressed(basis, dense_oracle.apply(dense, (v * p) @ v.conj().T))
-        assert np.max(np.abs(drho - np.diag(lv.pauli_matrix @ p))) < 1e-13
+        assert np.max(np.abs(drho - np.diag(dense_oracle.generator(lv.rates) @ p))) < 1e-13
         for i, j in [(0, 5), (3, 1), (basis.index_ground, basis.index_plus)]:
             coherence = np.outer(v[:, i], v[:, j].conj())
             expected = (-1j * (basis.energies[i] - basis.energies[j])
@@ -112,7 +114,7 @@ class TestGenerator:
 
 
 def _reference_generator(n_max=3):
-    params = SystemParams.from_eta(0.1, mu=0.1)
+    params = SystemParams(eta=0.1, mu=0.1)
     system = build_system(params, n_max=n_max, mu_mode="absolute")
     return system, dense_oracle.system_liouvillian(system)
 
@@ -135,13 +137,13 @@ class TestSteadyState:
         p0 = np.zeros(basis.dim)
         p0[basis.s_levels[2]] = 1.0
         horizon = 50.0 / 7e-4
-        p_t = sla.expm(lv.pauli_matrix * horizon) @ p0
+        p_t = sla.expm(dense_oracle.generator(lv.rates) * horizon) @ p0
         target = np.zeros(basis.dim)
         target[basis.s_levels[0]] = 1.0
         assert np.max(np.abs(p_t - target)) < 1e-8
 
     def test_balanced_cycle_without_coupling(self):
-        system = build_system(SystemParams.from_eta(0.0, mu=0.2), mu_mode="absolute")
+        system = build_system(SystemParams(eta=0.0, mu=0.2), mu_mode="absolute")
         basis = system.basis
         assert basis.population(system.rho_ss, basis.s_levels[0]) == approx(0.5, abs=1e-9)
         assert basis.population(system.rho_ss, basis.index_ground) == approx(0.5, abs=1e-9)
@@ -161,14 +163,14 @@ class TestSteadyState:
         residual = dense_oracle.apply(dense_generator(system), system.rho_ss)
         assert np.max(np.abs(residual)) < 1e-9
         p = system.populations
-        assert np.max(np.abs(system.lv.pauli_matrix @ p)) < 1e-14 * np.max(system.lv.out_rates)
+        assert np.max(np.abs(dense_oracle.generator(system.lv.rates) @ p)) < 1e-14 * np.max(system.lv.out_rates)
 
     def test_physicality(self, low_bias_system):
         report = check_density_operator(low_bias_system.rho_ss)
         assert report["ok"], report
 
     def test_no_injection_no_extraction_is_ambiguous(self):
-        system = build_system(SystemParams.from_eta(0.1, mu=0.2), mu_mode="absolute")
+        system = build_system(SystemParams(eta=0.1, mu=0.2), mu_mode="absolute")
         cavity_only = system.channels.of_bath(BATH_CAVITY)
         with pytest.raises(SteadyStateError):
             steady_state(build_liouvillian(system.basis, cavity_only))

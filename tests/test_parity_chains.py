@@ -57,7 +57,7 @@ def max_defects(system):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("eta", [0.0, 0.02, 0.1, 0.3, 0.8])
 def test_chains_match_dense_route(eta, mode, n_max):
-    system = build_system(SystemParams.from_eta(eta), n_max=n_max, mu_mode=mode)
+    system = build_system(SystemParams(eta=eta), n_max=n_max, mu_mode=mode)
     assert system.basis.states.dtype.kind == "f"
     energy, eigen, ortho = max_defects(system)
     assert energy <= 1e-13
@@ -80,7 +80,7 @@ def test_chains_match_dense_route(eta, mode, n_max):
 @pytest.mark.parametrize("mode", MODES)
 def test_large_cutoff_ultrastrong(mode):
     # n_max 128 at eta 1: the regime whose bound photons need a long ladder
-    system = build_system(SystemParams.from_eta(1.0), n_max=128, mu_mode=mode)
+    system = build_system(SystemParams(eta=1.0), n_max=128, mu_mode=mode)
     assert system.basis.states.dtype.kind == "f"
     energy, _, ortho = max_defects(system)
     assert energy <= 1e-11

@@ -4,7 +4,7 @@ from pytest import approx
 
 import dense_oracle
 from dense_oracle import basis_state, number_electron, number_photon, parity
-from electrolum.hilbert import SystemParams, build_space
+from electrolum.hilbert import ModelSpace, SystemParams
 from electrolum.rabi import dressed_basis, hamiltonian
 
 
@@ -28,8 +28,8 @@ def jc_reference(params: SystemParams, space):
 
 
 def basis_for(eta, n_max=8, **kwargs):
-    space = build_space(n_max)
-    params = SystemParams.from_eta(eta, **kwargs)
+    space = ModelSpace(n_max)
+    params = SystemParams(eta=eta, **kwargs)
     return dressed_basis(hamiltonian(params, space), space), space
 
 
@@ -40,8 +40,8 @@ def dense_hamiltonian(params, space):
 
 class TestHamiltonian:
     def test_uncoupled_diagonal(self):
-        space = build_space(4)
-        params = SystemParams(rabi=0.0, omega_e=1.3)
+        space = ModelSpace(4)
+        params = SystemParams(eta=0.0, omega_e=1.3)
         h = dense_hamiltonian(params, space)
         off = h - np.diag(np.diag(h))
         assert np.max(np.abs(off)) == approx(0.0)
@@ -49,42 +49,42 @@ class TestHamiltonian:
         assert np.real(e1.conj() @ h @ e1) == approx(params.omega_e + 1.0)
 
     def test_coupling_elements(self):
-        space = build_space(4)
-        params = SystemParams.from_eta(0.07)
+        space = ModelSpace(4)
+        params = SystemParams(eta=0.07)
         h = dense_hamiltonian(params, space)
         e0, g1 = basis_state(space, "e", 0), basis_state(space, "g", 1)
         e1, g0 = basis_state(space, "e", 1), basis_state(space, "g", 0)
-        assert e0.conj() @ h @ g1 == approx(params.rabi)
+        assert e0.conj() @ h @ g1 == approx(params.eta)
         # counter-rotating partner has the same amplitude
-        assert e1.conj() @ h @ g0 == approx(params.rabi)
+        assert e1.conj() @ h @ g0 == approx(params.eta)
 
     def test_empty_state_energies(self):
-        space = build_space(5)
-        params = SystemParams.from_eta(0.1, omega_s=0.2)
+        space = ModelSpace(5)
+        params = SystemParams(eta=0.1, omega_s=0.2)
         h = dense_hamiltonian(params, space)
         for n in range(space.n_photon):
             sn = basis_state(space, "s", n)
             assert np.real(sn.conj() @ h @ sn) == approx(n - params.omega_s)
 
     def test_conserves_electron_number(self):
-        space = build_space(6)
-        h = dense_hamiltonian(SystemParams.from_eta(0.3), space)
+        space = ModelSpace(6)
+        h = dense_hamiltonian(SystemParams(eta=0.3), space)
         n_el = number_electron(space)
         assert np.max(np.abs(h @ n_el - n_el @ h)) < 1e-12
 
     def test_hermitian(self):
-        space = build_space(6)
-        h = dense_hamiltonian(SystemParams.from_eta(0.2, omega_s=0.1), space)
+        space = ModelSpace(6)
+        h = dense_hamiltonian(SystemParams(eta=0.2, omega_s=0.1), space)
         assert np.max(np.abs(h - h.conj().T)) == approx(0.0)
 
     @pytest.mark.parametrize("params", [
-        SystemParams.from_eta(0.3),
-        SystemParams(rabi=0.7, omega_e=0.9, omega_s=0.25),
+        SystemParams(eta=0.3),
+        SystemParams(eta=0.7, omega_e=0.9, omega_s=0.25),
     ])
     def test_chains_are_the_kron_hamiltonian(self, params):
         # the two parity chains and the empty sites hold every nonzero
         # element of the dense Hamiltonian, and nothing else
-        space = build_space(7)
+        space = ModelSpace(7)
         dense = dense_oracle.hamiltonian(params, space)
         assert np.max(np.abs(dense_hamiltonian(params, space) - dense)) < 1e-14
 
@@ -118,7 +118,7 @@ class TestDressedBasis:
 
     def test_sector_block_structure(self):
         basis, space = basis_for(0.2)
-        h = dense_oracle.hamiltonian(SystemParams.from_eta(0.2), space)
+        h = dense_oracle.hamiltonian(SystemParams(eta=0.2), space)
         zero = np.flatnonzero(basis.sector == 0)
         one = np.flatnonzero(basis.sector == 1)
         cross = basis.states[:, zero].conj().T @ h @ basis.states[:, one]
@@ -184,18 +184,18 @@ class TestGroundPhotonNumber:
 
 class TestJCReference:
     def test_normalized_and_orthogonal(self):
-        space = build_space(6)
-        g, plus, minus = jc_reference(SystemParams.from_eta(0.05), space)
+        space = ModelSpace(6)
+        g, plus, minus = jc_reference(SystemParams(eta=0.05), space)
         assert np.vdot(plus, plus) == approx(1.0)
         assert np.vdot(minus, minus) == approx(1.0)
         assert np.vdot(g, g) == approx(1.0)
         assert np.vdot(plus, minus) == approx(0.0, abs=1e-14)
 
     def test_overlap_with_exact_states(self):
-        space = build_space(8)
+        space = ModelSpace(8)
 
         def overlaps(eta):
-            params = SystemParams.from_eta(eta)
+            params = SystemParams(eta=eta)
             basis = dressed_basis(hamiltonian(params, space), space)
             g, plus, minus = jc_reference(params, space)
             return (
@@ -210,6 +210,6 @@ class TestJCReference:
         assert all(w > s for w, s in zip(weak, stronger))
 
     def test_requires_resonance(self):
-        space = build_space(4)
+        space = ModelSpace(4)
         with pytest.raises(ValueError):
-            jc_reference(SystemParams(rabi=0.1, omega_e=1.5), space)
+            jc_reference(SystemParams(eta=0.1, omega_e=1.5), space)

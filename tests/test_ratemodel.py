@@ -57,20 +57,20 @@ def rate_blocks(draw, values=rate_values):
 
 class TestExtractRates:
     def test_low_bias_closes_direct_polariton_injection(self):
-        system = build_system(SystemParams.from_eta(0.08), mu_mode="omega_G")
+        system = build_system(SystemParams(eta=0.08), mu_mode="omega_G")
         rates = extract_rates(system.lv, system.basis)
         assert rates[PLUS, S0] == 0.0
         assert rates[MINUS, S0] == 0.0
         assert rates[G, S0] > 0.0
 
     def test_weak_coupling_polariton_decay(self):
-        system = build_system(SystemParams.from_eta(1e-3), mu_mode="omega_G")
+        system = build_system(SystemParams(eta=1e-3), mu_mode="omega_G")
         rates = extract_rates(system.lv, system.basis)
         assert rates[G, PLUS] == approx(REF_GAMMA_CAV / 2, rel=1e-2)
         assert rates[G, MINUS] == approx(REF_GAMMA_CAV / 2, rel=1e-2)
 
     def test_weak_coupling_ground_extraction_leaves_no_photon(self):
-        system = build_system(SystemParams.from_eta(1e-3), mu_mode="omega_G")
+        system = build_system(SystemParams(eta=1e-3), mu_mode="omega_G")
         rates = extract_rates(system.lv, system.basis)
         assert rates[S1, G] <= REF_GAMMA * 1e-5
         assert rates[S0, G] == approx(REF_GAMMA, rel=1e-5)
@@ -95,7 +95,7 @@ class TestExtractRates:
     @pytest.mark.parametrize("eta", [0.05, 0.5])
     @pytest.mark.parametrize("omega_e", [0.8, 1.2])
     def test_five_levels_are_the_ends_of_the_reported_lines(self, omega_e, eta, mu_mode):
-        basis = build_system(SystemParams.from_eta(eta, omega_e=omega_e),
+        basis = build_system(SystemParams(eta=eta, omega_e=omega_e),
                              mu_mode=mu_mode).basis
         lines = basis.lines
         (minus, ground), (s1, s0), (plus, ground_plus) = (
@@ -163,7 +163,7 @@ class TestRateSteadyState:
     def test_balanced_cycle(self):
         # uncoupled system: the current runs s0 -> G -> s0 with equal
         # rates and never touches a photon state
-        system = build_system(SystemParams.from_eta(0.0, mu=0.2), mu_mode="absolute")
+        system = build_system(SystemParams(eta=0.0, mu=0.2), mu_mode="absolute")
         rates = extract_rates(system.lv, system.basis)
         pops = rate_steady_state(rate_matrix(rates))
         assert pops[S0] == approx(0.5)
@@ -176,7 +176,7 @@ class TestRateSteadyState:
         # with polariton injection open and fast cavity decay the cycle
         # puts 1/3 in |s,0> and 2/3 in the dressed ground state
         system = build_system(
-            SystemParams.from_eta(1e-3, gamma_in=1e-6, gamma_out=1e-6, gamma_cav=1e-2),
+            SystemParams(eta=1e-3, gamma_in=1e-6, gamma_out=1e-6, gamma_cav=1e-2),
             mu_mode="omega_G_plus_omega_plus",
         )
         pops = rate_steady_state(rate_matrix(extract_rates(system.lv, system.basis)))
@@ -272,7 +272,7 @@ class TestTruncationQuality:
         # the coupling is reduced
         errors = []
         for eta in (0.1, 0.05, 0.02):
-            system = build_system(SystemParams.from_eta(eta), mu_mode="omega_G")
+            system = build_system(SystemParams(eta=eta), mu_mode="omega_G")
             master = system.line_fluxes()["central"]
             rate, _, _ = system.rate_model_fluxes()
             errors.append(abs(rate / master - 1))
@@ -282,14 +282,14 @@ class TestTruncationQuality:
 
 class TestGatingTransition:
     def test_flux_jumps_at_polariton_threshold(self):
-        base = SystemParams.from_eta(0.1)
+        base = SystemParams(eta=0.1)
         system = build_system(base, mu_mode="omega_G")
         threshold = system.basis.omega_ground + system.basis.omega_minus
         below = build_system(
-            SystemParams.from_eta(0.1, mu=threshold - 5e-3), mu_mode="absolute"
+            SystemParams(eta=0.1, mu=threshold - 5e-3), mu_mode="absolute"
         )
         above = build_system(
-            SystemParams.from_eta(0.1, mu=threshold + 5e-3), mu_mode="absolute"
+            SystemParams(eta=0.1, mu=threshold + 5e-3), mu_mode="absolute"
         )
         _, _, f_m_below = below.rate_model_fluxes()
         _, _, f_m_above = above.rate_model_fluxes()

@@ -38,7 +38,7 @@ config, out = sys.argv[1:]
 for mode in ("spectrum", "sweep"):
     code = main(["--config", config, "--out", out, "--mode", mode])
     assert code == 0, (mode, code)
-system = build_system(SystemParams.from_eta(0.1), n_max=2, mu_mode="omega_G")
+system = build_system(SystemParams(eta=0.1), n_max=2, mu_mode="omega_G")
 print(json.dumps([system.line_fluxes(), list(system.rate_model_fluxes())]))
 assert "numpy.ma" not in sys.modules, "numpy.ma was imported on the run path"
 """
@@ -206,7 +206,7 @@ print(metadata, header, data.shape, data.tolist())
 import importlib, sys
 import electrolum
 owners = {
-    "ModelSpace": "hilbert", "SystemParams": "hilbert", "build_space": "hilbert",
+    "ModelSpace": "hilbert", "SystemParams": "hilbert",
     "DressedSystem": "pipeline", "build_system": "pipeline", "resolve_mu": "pipeline",
     "DressedBasis": "rabi", "dressed_basis": "rabi", "hamiltonian": "rabi",
     "Spectrum": "spectrum", "emission_spectrum": "spectrum",

@@ -27,7 +27,7 @@ def grid_through_lines(system):
 @pytest.mark.parametrize("mode", ["omega_G", "omega_G_plus_omega_plus"])
 @pytest.mark.parametrize("eta", [0.02, 0.1, 0.3])
 def test_agrees_with_dense_generator(eta, mode, n_max, dense_generator):
-    system = build_system(SystemParams.from_eta(eta), n_max=n_max, mu_mode=mode)
+    system = build_system(SystemParams(eta=eta), n_max=n_max, mu_mode=mode)
     dense = dense_generator(system)
 
     rho_dense = dense_oracle.steady_state(dense)

@@ -29,7 +29,7 @@ REF_GAMMA_CAV = 7e-4
 
 class TestEmissionSpectrum:
     def test_dark_when_uncoupled(self):
-        system = build_system(SystemParams.from_eta(0.0, mu=0.0), n_max=2,
+        system = build_system(SystemParams(eta=0.0, mu=0.0), n_max=2,
                               mu_mode="absolute")
         spec = system.emission_spectrum(np.linspace(0.5, 1.5, 201))
         assert np.max(np.abs(spec.values)) < 1e-16
@@ -116,7 +116,7 @@ class TestWindowFluxes:
     def test_limit_of_the_fine_trapezoid(self, eta, mu_mode):
         # the trapezoid error falls quadratically with the points per
         # window: 1.5e-4 at 241 points, about 1.5e-8 at 24001
-        system = build_system(SystemParams.from_eta(eta), mu_mode=mu_mode)
+        system = build_system(SystemParams(eta=eta), mu_mode=mu_mode)
         windows = line_windows(system.basis, system.channels)
         exact = window_fluxes(system.lv, system.populations, system.channels, windows)
         theta = np.linspace(-np.arctan(5.0), np.arctan(5.0), 24001)
@@ -151,7 +151,7 @@ class TestWindows:
         # each reported line is the cavity channel between its two levels:
         # centered at that channel's frequency, with the mean out-rate of
         # the two levels as half-width
-        system = build_system(SystemParams.from_eta(eta), mu_mode=mu_mode)
+        system = build_system(SystemParams(eta=eta), mu_mode=mu_mode)
         lines = system.basis.lines
         centers = emission_line_centers(system.basis)
         widths = line_halfwidths(system.basis, system.channels)
@@ -167,13 +167,13 @@ class TestWindows:
     def test_degenerate_centers_warn(self):
         # only coinciding centers warn: at eta 1e-3 they sit at 0.999, 1.0
         # and 1.001, far closer than any useful grid spacing, and still apart
-        from electrolum.hilbert import build_space
+        from electrolum.hilbert import ModelSpace
         from electrolum.rabi import dressed_basis, hamiltonian
 
-        space = build_space(4)
+        space = ModelSpace(4)
 
         def basis(eta):
-            return dressed_basis(hamiltonian(SystemParams.from_eta(eta), space), space)
+            return dressed_basis(hamiltonian(SystemParams(eta=eta), space), space)
 
         with pytest.warns(UserWarning, match="resolve"):
             default_windows(basis(0.0))
