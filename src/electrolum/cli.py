@@ -184,6 +184,9 @@ def validate_config(raw: dict) -> RunConfig:
     for name in ("gamma_in", "gamma_out", "gamma_cav", "omega_e", "omega_s"):
         if name in raw:
             constants[name] = _require_number(raw[name], name, minimum=0.0)
+    # the closed forms divide by it, and without it no photon leaves
+    if constants.get("gamma_cav") == 0.0:
+        raise ConfigError(f"gamma_cav: must be > 0, got {raw['gamma_cav']!r}")
 
     n_max = _require_int(raw.get("n_max", DEFAULT_N_MAX), "n_max", 1)
 
@@ -261,13 +264,27 @@ def _format(value) -> str:
     return f"{value:.17g}"
 
 
-def _metadata_lines(config: RunConfig, mode: str, skip=()):
-    pairs = [(name, _format(getattr(config.base, name))) for name in
-             ("eta", "gamma_in", "gamma_out", "gamma_cav", "omega_e", "omega_s")]
-    pairs += [("n_max", str(config.n_max)), ("mu_mode", config.mu_mode)]
-    lines = [f"# electrolum {__version__}", f"# mode = {mode}"]
-    lines += [f"# {k} = {v}" for k, v in pairs if k not in skip]
-    return lines
+def _write_table(config: RunConfig, mode: str, out_dir, notes, columns, rows) -> Path:
+    """Write the ``mode`` table that :func:`load_table` reads back; return its path.
+
+    '#' lines carry the package version, the mode, the resolved constants
+    (less a swept one, which has its own column), n_max, mu_mode and the
+    ``notes``; then come the CSV header and one full-precision line per row.
+    """
+    settings = {name: _format(getattr(config.base, name)) for name in
+                ("eta", "gamma_in", "gamma_out", "gamma_cav", "omega_e", "omega_s")}
+    settings.update(n_max=config.n_max, mu_mode=config.mu_mode)
+    if mode == "sweep":
+        settings.pop(config.sweep[0], None)
+    meta = [f"electrolum {__version__}", f"mode = {mode}"]
+    meta += [f"{name} = {value}" for name, value in settings.items()] + notes
+    lines = [f"# {line}" for line in meta] + [",".join(columns)]
+    lines += [",".join(_format(x) for x in row) for row in rows]
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / config.outputs[mode]
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def run_spectrum(config: RunConfig, out_dir) -> Path:
@@ -287,21 +304,12 @@ def run_spectrum(config: RunConfig, out_dir) -> Path:
         warnings.warn(f"line centers outside the grid [{gmin:g}, {gmax:g}]: "
                       + ", ".join(outside), stacklevel=2)
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / config.outputs["spectrum"]
-    lines = _metadata_lines(config, "spectrum")
-    lines += [
-        f"# mu = {_format(system.params.mu)}",
-        f"# omega_G = {_format(system.basis.omega_ground)}",
-        f"# omega_minus = {_format(system.basis.omega_minus)}",
-        f"# omega_plus = {_format(system.basis.omega_plus)}",
-    ]
-    lines.append("omega,S")
-    for omega, value in zip(spec.omegas, spec.values):
-        lines.append(f"{_format(omega)},{_format(value)}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    basis = system.basis
+    notes = [f"{name} = {_format(value)}" for name, value in (
+        ("mu", system.params.mu), ("omega_G", basis.omega_ground),
+        ("omega_minus", basis.omega_minus), ("omega_plus", basis.omega_plus))]
+    return _write_table(config, "spectrum", out_dir, notes, ("omega", "S"),
+                        zip(spec.omegas, spec.values))
 
 
 def window_line_fluxes(system) -> dict:
@@ -316,16 +324,21 @@ def window_line_fluxes(system) -> dict:
     """
     _bind_run_path()
     windows = line_windows(system.basis, system.channels)
-    fluxes = window_fluxes(system.lv, system.populations, system.channels, windows)
+    fluxes = window_fluxes(system, windows)
     return {name: flux / window_capture(WINDOW_SCALE) for name, flux in fluxes.items()}
 
 
 def _analytic_fluxes(system):
-    """Closed-form fluxes in whichever bias regime the gates put the system."""
-    p = system.params
+    """Closed-form fluxes in whichever bias regime the gates put the system.
+
+    A system that carries no current is dark, so every closed form reads
+    0 there: the gate of |s,0> -> |G> is shut, or either electron rate is 0.
+    """
+    p, basis = system.params, system.basis
+    if not (gate_open(p.mu - basis.omega_ground) and p.gamma_in > 0 and p.gamma_out > 0):
+        return 0.0, 0.0, 0.0
     gamma = 0.5 * (p.gamma_in + p.gamma_out)
     # the same gate that opens the injection channel |s,0> -> |->
-    basis = system.basis
     if gate_open(p.mu - basis.energies[basis.index_minus]):
         return ratemodel.analytic_el(p.eta, gamma, p.gamma_cav)
     return ratemodel.analytic_gse(p.eta, gamma, p.gamma_cav)
@@ -357,21 +370,11 @@ def run_sweep(config: RunConfig, out_dir) -> Path:
                               mu_mode=config.mu_mode)
         rows.append([value] + [x for _, fluxes in groups for x in fluxes(system)])
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / config.outputs["sweep"]
-    lines = _metadata_lines(config, "sweep", skip=(variable,))
-    lines.append(f"# sweep variable = {variable}")
+    notes = [f"sweep variable = {variable}"]
     if config.methods["spectrum"]:
-        lines.append(
-            f"# flux windows: +-{WINDOW_SCALE:g} line half-widths, exact integrals "
-            f"divided by the captured fraction {_format(window_capture(WINDOW_SCALE))}"
-        )
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+        notes.append(f"flux windows: +-{WINDOW_SCALE:g} line half-widths, exact integrals "
+                     f"divided by the captured fraction {_format(window_capture(WINDOW_SCALE))}")
+    return _write_table(config, "sweep", out_dir, notes, columns, rows)
 
 
 def load_table(path):

@@ -69,7 +69,7 @@ class DressedSystem:
         return dissipators.x_pm(self.basis)
 
     def line_fluxes(self):
-        return spectrum_mod.line_fluxes(self.basis, self.channels, self.populations)
+        return spectrum_mod.line_fluxes(self)
 
     def rate_model_fluxes(self):
         rates = ratemodel.extract_rates(self.lv, self.basis)
@@ -77,7 +77,7 @@ class DressedSystem:
         return ratemodel.fluxes(pops, rates)
 
     def emission_spectrum(self, grid) -> spectrum_mod.Spectrum:
-        return spectrum_mod.emission_spectrum(self.lv, self.populations, self.channels, grid)
+        return spectrum_mod.emission_spectrum(self, grid)
 
 
 def build_system(params: SystemParams, n_max: int = DEFAULT_N_MAX,

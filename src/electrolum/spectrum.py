@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dissipators import BATH_CAVITY
-from .liouvillian import SecularGenerator, build_liouvillian
+from .liouvillian import build_liouvillian
 from .rabi import DEGENERACY_TOL, DressedBasis
 
 # line windows span +-WINDOW_SCALE half-widths and capture (2/pi) arctan 5 of
@@ -75,17 +75,8 @@ class PeakWindow:
         return 0.5 * (self.hi - self.lo)
 
 
-def _check_populations(populations, dim: int) -> np.ndarray:
-    p = np.asarray(populations)
-    if p.shape != (dim,):
-        raise ValueError(
-            f"expected {dim} dressed-level populations, got an array of shape {p.shape}"
-        )
-    return p
-
-
-def _lorentzians(lv: SecularGenerator, populations: np.ndarray, channels):
-    """Flux, half-width and frequency of every lit cavity line.
+def _lorentzians(system):
+    """Flux, half-width and frequency of every lit cavity line of a solved system.
 
     Channel from -> to emits rate * p_from photons per unit time at
     freq = E_from - E_to, with the half-width (Gamma_from + Gamma_to)/2
@@ -93,19 +84,18 @@ def _lorentzians(lv: SecularGenerator, populations: np.ndarray, channels):
     of the dressed levels.  Zero-flux channels are dropped, so no term
     is ever 0/0.
     """
-    p = _check_populations(populations, lv.dim)
-    cav = channels.of_bath(BATH_CAVITY)
+    p, out = system.populations, system.lv.out_rates
+    cav = system.channels.of_bath(BATH_CAVITY)
     fluxes = cav.rate * p[cav.from_index]
-    widths = 0.5 * (lv.out_rates[cav.from_index] + lv.out_rates[cav.to_index])
+    widths = 0.5 * (out[cav.from_index] + out[cav.to_index])
     lit = fluxes != 0.0
     return fluxes[lit], widths[lit], cav.freq[lit]
 
 
-def emission_spectrum(lv: SecularGenerator, populations: np.ndarray, channels,
-                      grid) -> Spectrum:
-    """S(w) over the grid: one Lorentzian per lit cavity channel."""
+def emission_spectrum(system, grid) -> Spectrum:
+    """S(w) of a solved ``DressedSystem`` over the grid: one Lorentzian per lit line."""
     omegas = np.asarray(grid, dtype=float)
-    fluxes, widths, freqs = _lorentzians(lv, populations, channels)
+    fluxes, widths, freqs = _lorentzians(system)
     values = np.zeros_like(omegas)
     # one line at a time: a (points x channels) array costs more memory than time
     for weight, width, freq in zip((fluxes / np.pi).tolist(), widths.tolist(), freqs.tolist()):
@@ -113,14 +103,14 @@ def emission_spectrum(lv: SecularGenerator, populations: np.ndarray, channels,
     return Spectrum(omegas=omegas, values=values)
 
 
-def window_fluxes(lv: SecularGenerator, populations: np.ndarray, channels, windows):
-    """Exact integral of S over each window, keyed as ``windows``.
+def window_fluxes(system, windows):
+    """Exact integral of a solved system's S over each window, keyed as ``windows``.
 
     A line of flux F and half-width L at freq puts
     F (arctan((hi - freq)/L) - arctan((lo - freq)/L)) / pi in [lo, hi];
     every line counts in every window, neighbours' tails included.
     """
-    fluxes, widths, freqs = _lorentzians(lv, populations, channels)
+    fluxes, widths, freqs = _lorentzians(system)
     return {
         name: float(fluxes @ (np.arctan((win.hi - freqs) / widths)
                               - np.arctan((win.lo - freqs) / widths)) / np.pi)
@@ -203,25 +193,23 @@ def window_capture(scale: float) -> float:
     return (2.0 / np.pi) * np.arctan(scale)
 
 
-def line_fluxes(basis: DressedBasis, channels, populations: np.ndarray):
-    """Exact steady-state photon flux of each reported line.
+def line_fluxes(system):
+    """Exact steady-state photon flux of each reported line of a solved system.
 
-    Every cavity channel emits rate * population of its upper level; the
-    channels are grouped by emission frequency into the midpoint-bounded
-    windows of the three lines, a channel on a shared edge going to the
-    lower line.  This is the master-equation flux that the
+    Every lit cavity line emits rate * population of its upper level; the
+    lines are grouped by emission frequency into the midpoint-bounded
+    windows of the three reported lines, a line on a shared edge going to
+    the lower one.  This is the master-equation flux that the
     window-integrated spectrum estimates.
     """
-    p = _check_populations(populations, basis.dim)
-    cav = channels.of_bath(BATH_CAVITY)
-    emitted = cav.rate * p[cav.from_index]
-    unclaimed = np.ones(len(cav), dtype=bool)
-    fluxes = {}
-    for name, win in default_windows(basis).items():
-        inside = unclaimed & (win.lo <= cav.freq) & (cav.freq <= win.hi)
-        fluxes[name] = float(emitted[inside].sum())
+    fluxes, _, freqs = _lorentzians(system)
+    unclaimed = np.ones(len(freqs), dtype=bool)
+    result = {}
+    for name, win in default_windows(system.basis).items():
+        inside = unclaimed & (win.lo <= freqs) & (freqs <= win.hi)
+        result[name] = float(fluxes[inside].sum())
         unclaimed &= ~inside
-    return fluxes
+    return result
 
 
 def total_emission(spec: Spectrum) -> float:

@@ -293,17 +293,24 @@ class TestRunSweep:
         space = ModelSpace(3)
         basis = dressed_basis(hamiltonian(SystemParams(eta=0.1), space), space)
         mu = float(basis.energies[basis.index_minus]) - 5e-10
-        config = validate_config({
-            "eta": 0.1,
-            "n_max": 3,
-            "sweep": {"variable": "mu", "values": [mu]},
-            "methods": {"spectrum": False, "analytic": True},
-        })
+        base = {"eta": 0.1, "n_max": 3, "methods": {"spectrum": False, "analytic": True}}
+        config = validate_config({**base, "sweep": {"variable": "mu", "values": [mu]}})
         system = build_system(config.params(mu=mu), n_max=3, mu_mode="absolute")
         assert find_channel(system.channels, basis.s_levels[0], basis.index_minus) > 0.0
         _, _, data = load_table(run_sweep(config, tmp_path))
         expected = analytic_el(0.1, config.base.gamma_in, config.base.gamma_cav)
         assert list(data[0, 1:]) == list(expected)
+
+        # a system that carries no current is dark, and so are its closed
+        # forms: below omega_G (|s,0> -> |G> shut), or either electron rate 0
+        dark = [({}, -0.05), ({"gamma_in": 0}, mu), ({"gamma_out": 0}, mu)]
+        for k, (rates, value) in enumerate(dark):
+            config = validate_config({
+                **base, **rates, "methods": {**base["methods"], "ratemodel": True},
+                "sweep": {"variable": "mu", "values": [value]}})
+            _, header, data = load_table(run_sweep(config, tmp_path / str(k)))
+            assert header[1:4] == ["f_C_analytic", "f_plus_analytic", "f_minus_analytic"]
+            assert list(data[0, 1:]) == [0.0] * 6, rates
 
     @pytest.mark.parametrize("mu_mode", ["omega_G", "omega_G_plus_omega_plus"])
     def test_window_columns_are_exact_arctan_integrals(self, tmp_path, mu_mode):
@@ -402,6 +409,18 @@ class TestMain:
                      "--mode", "spectrum"])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["spectrum", "sweep"])
+    def test_zero_cavity_rate_exit_one(self, tmp_path, capsys, mode):
+        # the closed forms divide by gamma_cav, and the default sweep has them
+        config_path = write_config(tmp_path, {
+            "eta": 0.1, "gamma_cav": 0, "n_max": 2,
+            "sweep": {"variable": "eta", "values": [0.1]},
+        })
+        code = main(["--config", str(config_path), "--out", str(tmp_path), "--mode", mode])
+        assert code == 1
+        assert "configuration error: gamma_cav: must be > 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_rabi_config_exit_one(self, tmp_path, capsys):
         config_path = write_config(tmp_path, {"rabi": 0.1})

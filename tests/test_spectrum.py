@@ -12,9 +12,7 @@ from electrolum.spectrum import (
     Spectrum,
     default_windows,
     emission_line_centers,
-    emission_spectrum,
     integrate_peak,
-    line_fluxes,
     line_halfwidths,
     line_windows,
     quadrature_moment,
@@ -59,15 +57,6 @@ class TestEmissionSpectrum:
 
     def test_stationary_state_gives_real_finite_values(self, low_bias_spectrum):
         assert np.all(np.isfinite(low_bias_spectrum.values))
-
-    def test_density_operator_in_place_of_populations_rejected(self, low_bias_system):
-        system = low_bias_system
-        grid = np.linspace(0.9, 1.1, 11)
-        for wrong in (system.rho_ss, system.populations[:-1]):
-            with pytest.raises(ValueError, match="populations"):
-                emission_spectrum(system.lv, wrong, system.channels, grid)
-            with pytest.raises(ValueError, match="populations"):
-                line_fluxes(system.basis, system.channels, wrong)
 
     def test_grid_must_ascend(self):
         with pytest.raises(ValueError):
@@ -118,7 +107,7 @@ class TestWindowFluxes:
         # window: 1.5e-4 at 241 points, about 1.5e-8 at 24001
         system = build_system(SystemParams(eta=eta), mu_mode=mu_mode)
         windows = line_windows(system.basis, system.channels)
-        exact = window_fluxes(system.lv, system.populations, system.channels, windows)
+        exact = window_fluxes(system, windows)
         theta = np.linspace(-np.arctan(5.0), np.arctan(5.0), 24001)
         for name, win in windows.items():
             lo, hi = win.center - win.halfwidth, win.center + win.halfwidth
