@@ -12,7 +12,8 @@ Units: hbar = 1, omega_c = 1.
 
 The numerical names below load their module, and numpy with it, on
 first access, so that importing the package, or validating a
-configuration with ``electrolum.cli``, loads no numpy.
+configuration with ``electrolum.cli``, loads no numpy (and, since the
+records are ``typing.NamedTuple``s, no ``inspect``).
 """
 
 import importlib

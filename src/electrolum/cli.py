@@ -23,22 +23,24 @@ byte-identical and every value reparses exactly.
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 
 Validation, ``--help`` and every configuration error import only the
-standard library, ``hilbert`` and ``settings``.  The numerical modules
-(and numpy) are bound into this module's namespace when a run first
-needs them (:func:`_bind_run_path`), so a run still pays for them.
+standard library, ``hilbert`` and ``settings``, and of the standard
+library neither ``inspect`` (the records are ``typing.NamedTuple``s) nor,
+for validation alone, ``argparse``, which only :func:`main` imports.  The
+numerical modules (and numpy) are bound into this module's namespace
+when a run first needs them (:func:`_bind_run_path`), so a run still
+pays for them.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .hilbert import SystemParams
@@ -93,8 +95,7 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration entry; message carries the key path."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Fully validated and defaulted run description."""
 
     base: SystemParams  # mu is 0 unless the configuration gives it
@@ -102,16 +103,17 @@ class RunConfig:
     mu_mode: str
     grid: tuple  # (min, max, points)
     sweep: tuple | None  # (variable, values)
-    outputs: dict = field(default_factory=dict)
-    methods: dict = field(default_factory=dict)
+    outputs: dict  # mode -> bare file name
+    methods: dict  # methods key -> bool
 
     @property
     def eta(self) -> float:
         return self.base.eta
 
     def params(self, eta: float | None = None, mu: float | None = None) -> SystemParams:
+        """``base`` with the given values, checked again as a new SystemParams."""
         changes = {"eta": eta, "mu": mu}
-        return replace(self.base, **{k: v for k, v in changes.items() if v is not None})
+        return self.base._replace(**{k: v for k, v in changes.items() if v is not None})
 
 
 def _require_number(value, path, minimum=None):
@@ -132,8 +134,10 @@ def _require_int(value, path, minimum):
 
 
 def _require_file_name(value, path):
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"{path}: expected a file name")
+    """A bare file name, written inside ``--out``: no directory part or NUL, not ``.``/``..``."""
+    if (not isinstance(value, str) or value in ("", ".", "..") or "\0" in value
+            or Path(value).name != value):
+        raise ConfigError(f"{path}: expected a bare file name, got {value!r}")
     return value
 
 
@@ -393,6 +397,8 @@ def load_table(path):
 
 
 def main(argv=None) -> int:
+    import argparse  # here, not at the top: validation alone never parses arguments
+
     parser = argparse.ArgumentParser(
         prog="electrolum",
         description="Emission spectra and line fluxes of an electrically "

@@ -28,7 +28,6 @@ selected with masks over those elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -68,38 +67,42 @@ class JumpChannel(NamedTuple):
     bath: str
 
 
-@dataclass(frozen=True)
 class ChannelTable:
     """Jump channels as parallel arrays, one entry per channel.
 
     Row k is the channel ``from_index[k] -> to_index[k]`` of bath
-    ``bath[k]``; iterating yields the rows as :class:`JumpChannel`.
+    ``bath[k]``; ``len`` counts the rows and iterating yields them as
+    :class:`JumpChannel`, so the table is a plain class, not a tuple of
+    its columns.
     """
 
-    from_index: np.ndarray
-    to_index: np.ndarray
-    rate: np.ndarray
-    freq: np.ndarray
-    bath: np.ndarray
+    __slots__ = JumpChannel._fields  # the columns, in row order
+
+    def __init__(self, from_index: np.ndarray, to_index: np.ndarray, rate: np.ndarray,
+                 freq: np.ndarray, bath: np.ndarray):
+        self.from_index = from_index
+        self.to_index = to_index
+        self.rate = rate
+        self.freq = freq
+        self.bath = bath
 
     def __len__(self) -> int:
         return len(self.rate)
 
     def __iter__(self):
-        columns = (self.from_index, self.to_index, self.rate, self.freq, self.bath)
-        return map(JumpChannel._make, zip(*(c.tolist() for c in columns)))
+        return map(JumpChannel._make,
+                   zip(*(getattr(self, name).tolist() for name in self.__slots__)))
 
     def of_bath(self, bath: str) -> ChannelTable:
         """The rows of one bath, in table order."""
         keep = self.bath == bath
-        return ChannelTable(self.from_index[keep], self.to_index[keep],
-                            self.rate[keep], self.freq[keep], self.bath[keep])
+        return ChannelTable(*(getattr(self, name)[keep] for name in self.__slots__))
 
     @classmethod
     def concat(cls, tables) -> ChannelTable:
         tables = list(tables)
         return cls(*(np.concatenate([getattr(t, name) for t in tables])
-                     for name in ("from_index", "to_index", "rate", "freq", "bath")))
+                     for name in cls.__slots__))
 
 
 def gate_open(argument):

@@ -11,31 +11,43 @@ Conventions, used everywhere in the package:
 * Flat basis index = electronic_index * (n_max + 1) + n with the
   electronic order (s, g, e).
 
-This module imports no numpy: the command line validates a
-configuration with ``SystemParams`` alone, so that checking a
-configuration, ``--help`` and a configuration error skip numpy's import.
+This module imports no numpy, and its records are ``typing.NamedTuple``
+subclasses, so nothing beyond ``math`` and ``typing`` either: the
+command line validates a configuration with ``SystemParams`` alone, so
+that checking a configuration, ``--help`` and a configuration error load
+neither numpy nor ``inspect``.  Both records check their fields in
+``__new__``, which every copy passes through: ``_replace`` and
+unpickling included.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 ELECTRONIC_LABELS = ("s", "g", "e")
 
 
-@dataclass(frozen=True)
-class ModelSpace:
-    """Basis bookkeeping for the truncated photon ladder over three electronic states."""
-
+class _ModelSpaceFields(NamedTuple):
     n_max: int
 
-    def __post_init__(self):
-        if self.n_max < 1:
+
+class ModelSpace(_ModelSpaceFields):
+    """Basis bookkeeping for the truncated photon ladder over three electronic states."""
+
+    __slots__ = ()
+
+    def __new__(cls, n_max: int):
+        if n_max < 1:
             raise ValueError(
                 "n_max must be at least 1: the satellite emission channels "
                 "involve the one-photon states"
             )
+        return super().__new__(cls, n_max)
+
+    def _replace(self, **changes) -> ModelSpace:
+        # the inherited _replace skips __new__, and with it the check
+        return type(self)(**{**self._asdict(), **changes})
 
     @property
     def n_photon(self) -> int:
@@ -64,15 +76,7 @@ class ModelSpace:
         return [self.index(labels[k % 2], k) for k in range(self.n_photon)]
 
 
-@dataclass(frozen=True)
-class SystemParams:
-    """Physical constants of the open system, in units of the cavity frequency.
-
-    ``mu`` is the chemical potential of the injecting reservoir and may be
-    negative (the dressed ground-state energy is negative at finite
-    coupling); everything else is a frequency or a rate and must be >= 0.
-    """
-
+class _SystemParamsFields(NamedTuple):
     eta: float  # normalised light-matter coupling Omega_R / omega_c
     omega_e: float = 1.0  # g -> e transition frequency
     omega_s: float = 0.0  # s -> g offset; cancels from every gated rate
@@ -81,10 +85,27 @@ class SystemParams:
     gamma_cav: float = 7e-4  # bare cavity decay rate
     mu: float = 0.0  # injecting-reservoir chemical potential
 
-    def __post_init__(self):
+
+class SystemParams(_SystemParamsFields):
+    """Physical constants of the open system, in units of the cavity frequency.
+
+    ``mu`` is the chemical potential of the injecting reservoir and may be
+    negative (the dressed ground-state energy is negative at finite
+    coupling); everything else is a frequency or a rate and must be >= 0.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("eta", "omega_e", "omega_s", "gamma_in", "gamma_out", "gamma_cav"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu}")
+        return self
+
+    def _replace(self, **changes) -> SystemParams:
+        # the inherited _replace skips __new__, and with it the checks
+        return type(self)(**{**self._asdict(), **changes})

@@ -1,8 +1,8 @@
-"""Master-equation generator in its exact secular block form, and the steady state.
+"""Master-equation generator of the rank-one channels in block form, and the steady state.
 
 Every channel is a rank-one jump |to><from| between two dressed
 eigenstates, and the Hamiltonian is diagonal in that basis.  For such a
-generator the Lindblad equation splits exactly, with no approximation:
+generator the Lindblad equation splits exactly into two parts:
 
 * the populations p_k = <k|rho|k> obey the Pauli rate equation
   dp/dt = (W - diag(Gamma)) p, with W[to, from] the summed rate of the
@@ -12,21 +12,31 @@ generator the Lindblad equation splits exactly, with no approximation:
   d rho_ij/dt = (-i (E_i - E_j) - (Gamma_i + Gamma_j)/2) rho_ij.
 
 So the stationary state is diagonal in the dressed basis with the Pauli
-kernel as populations, and no D^2 x D^2 superoperator is ever needed
-(Breuer & Petruccione, The Theory of Open Quantum Systems, sec. 3.3).
+kernel as populations, and no D^2 x D^2 superoperator is ever needed.
+
+The rank-one channels equal the grouped secular master equation, which
+gathers the jumps of one bath at one Bohr frequency into a single
+operator A(omega) (Breuer & Petruccione, The Theory of Open Quantum
+Systems, sec. 3.3), only where no two Bohr frequencies of a bath
+coincide.  The empty-cavity ladder |s,n> -> |s,n-1> is the exception:
+every rung emits at exactly omega = 1, and the grouped form also feeds
+the coherence |s,n><s,n+1| into |s,n-1><s,n|, which the rank-one form
+leaves out.  The cross terms vanish on a diagonal state, so the
+populations, the steady state and the line fluxes are the same in both
+forms; the shape weights of the central line in the spectrum are not
+(ROADMAP item 9).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import NullSpaceError, stationary_distribution
 
 
-@dataclass(frozen=True)
-class SecularGenerator:
+class SecularGenerator(NamedTuple):
     """Lindblad generator of rank-one dressed channels, in block form.
 
     It is exactly the Pauli rate equation: ``rates[to, from]`` is the

@@ -21,8 +21,7 @@ dressed energies depend on the coupling:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +48,7 @@ def resolve_mu(mode: str, basis: DressedBasis, absolute: float = 0.0) -> float:
     raise ValueError(f"unknown mu mode {mode!r}; expected one of {MU_MODES}")
 
 
-@dataclass(frozen=True)
-class DressedSystem:
+class DressedSystem(NamedTuple):
     """Everything derived from one parameter set at one bias point."""
 
     params: SystemParams  # with mu already resolved to a number
@@ -59,9 +57,9 @@ class DressedSystem:
     lv: SecularGenerator
     populations: np.ndarray  # stationary populations of the dressed levels
 
-    @cached_property
+    @property
     def rho_ss(self) -> np.ndarray:
-        """Stationary density operator in the bare basis."""
+        """Stationary density operator in the bare basis, built on each read."""
         return density_operator(self.basis, self.populations)
 
     @property
@@ -86,7 +84,7 @@ def build_system(params: SystemParams, n_max: int = DEFAULT_N_MAX,
     space = ModelSpace(n_max)
     basis = dressed_basis(hamiltonian(params, space), space)
     mu = resolve_mu(mu_mode, basis, absolute=params.mu)
-    params = replace(params, mu=mu)
+    params = params._replace(mu=mu)
     channels = dissipators.all_channels(basis, params)
     lv = build_liouvillian(basis, channels)
     return DressedSystem(

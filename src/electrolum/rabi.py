@@ -18,7 +18,7 @@ one-electron levels are labelled G (dressed ground state) and -/+
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ from .hilbert import ModelSpace, SystemParams
 DEGENERACY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class BlockHamiltonian:
+class BlockHamiltonian(NamedTuple):
     """H = a+a + omega_e |e><e| - omega_s |s><s| + eta (a + a+)(|e><g| + |g><e|).
 
     ``empty[n]`` is the energy of |s,n>.  ``chains[p]`` is the
@@ -52,8 +51,7 @@ def hamiltonian(params: SystemParams, space: ModelSpace) -> BlockHamiltonian:
     return BlockHamiltonian(empty=k - params.omega_s, chains=chains)
 
 
-@dataclass(frozen=True)
-class DressedBasis:
+class DressedBasis(NamedTuple):
     """Eigenbasis of the coupled Hamiltonian with physical labels attached.
 
     ``energies`` ascend globally; ``states`` holds the real eigenvectors

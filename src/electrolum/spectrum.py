@@ -10,14 +10,22 @@ resolvent of the Liouvillian:
 equivalent to the two-sided transform because C(-tau) = C(tau)*.  In the
 dressed basis rho_ss = diag(p) and X- = sum_{E_j > E_i} x_ij |i><j|, so
 X- rho_ss is a sum of coherences x_ij p_j |i><j|, each of which the
-secular generator damps on its own at (Gamma_i + Gamma_j)/2 while it
-rotates at E_j - E_i.  The resolvent is then exact in closed form: one
-Lorentzian per cavity channel j -> i, of weight gamma_cav |x_ij|^2 p_j
-(the channel's rate times its upper population).  X- rho_ss has no
-stationary component, so the coherent term Tr[X+ rho]Tr[X- rho] is
-exactly zero here.  Lines and their window integrals (:func:`window_fluxes`)
-are exact, with no grid artifacts; the time-domain transform is kept
-only as a test oracle.
+generator of the rank-one channels damps on its own at
+(Gamma_i + Gamma_j)/2 while it rotates at E_j - E_i.  Its resolvent is
+then exact in closed form: one Lorentzian per cavity channel j -> i, of
+weight gamma_cav |x_ij|^2 p_j (the channel's rate times its upper
+population).  X- rho_ss has no stationary component, so the coherent
+term Tr[X+ rho]Tr[X- rho] is exactly zero here.  Lines and their window
+integrals (:func:`window_fluxes`) are exact for that generator, with no
+grid artifacts; the time-domain transform is kept only as a test oracle.
+
+The grouped secular master equation differs from the rank-one form on
+the empty-cavity ladder, whose rungs all emit at omega = 1
+(:mod:`electrolum.liouvillian`): there the coherences feed one another,
+so the central line keeps these centers, widths and total flux, but its
+Lorentzians take other weights.  :func:`line_fluxes` is the same in both
+forms; the spectrum near omega = 1 and the window integrals, which read
+the central line's shape, are not.
 
 Two rules decide which photons belong to a reported line.
 :func:`line_fluxes` assigns every cavity channel by its frequency to
@@ -36,7 +44,7 @@ central line at ``omega_G_plus_omega_plus``, eta 0.03.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,21 +57,28 @@ from .rabi import DEGENERACY_TOL, DressedBasis
 WINDOW_SCALE = 5.0
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Emission spectrum on an ascending frequency grid."""
-
+class _SpectrumFields(NamedTuple):
     omegas: np.ndarray
     values: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if np.any(np.diff(self.omegas) <= 0):
+
+class Spectrum(_SpectrumFields):
+    """Emission spectrum on an ascending frequency grid."""
+
+    __slots__ = ()
+
+    def __new__(cls, omegas: np.ndarray, values: np.ndarray):
+        if np.any(np.diff(omegas) <= 0):
             raise ValueError("frequency grid must be strictly ascending")
+        return super().__new__(cls, omegas, values)
+
+    @property
+    def metadata(self) -> dict:
+        """Always empty: the closed-form spectrum has no failed points to record."""
+        return {}
 
 
-@dataclass(frozen=True)
-class PeakWindow:
+class PeakWindow(NamedTuple):
     """Integration window around one emission line."""
 
     center: float

@@ -100,6 +100,19 @@ class TestValidateConfig:
         )
         assert config.sweep == ("eta", (0.02, 0.1))
 
+    def test_params_are_checked_again(self):
+        config = validate_config({"eta": 0.1})
+        assert config.params(eta=0.2, mu=-0.01) == SystemParams(eta=0.2, mu=-0.01)
+        with pytest.raises(ValueError, match="eta"):
+            config.params(eta=-1.0)
+        with pytest.raises(ValueError, match="mu"):
+            config.params(mu=float("inf"))
+
+    @pytest.mark.parametrize("name", ["x.csv", "my sweep.csv", "..x", ".hidden"])
+    def test_bare_output_names_accepted(self, name):
+        config = validate_config({"eta": 0.1, "outputs": {"sweep": name}})
+        assert config.outputs == {"spectrum": "spectrum.csv", "sweep": name}
+
     def test_grid_validation(self):
         with pytest.raises(ConfigError, match="grid.points"):
             validate_config({"eta": 0.1, "grid": {"points": 1}})
@@ -428,6 +441,24 @@ class TestMain:
                      "--mode", "spectrum"])
         assert code == 1
         assert "unknown configuration key: rabi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["sub/x.csv", ".", "..", "", "ABSOLUTE"])
+    def test_output_name_with_a_directory_part_exit_one(self, tmp_path, capsys, name):
+        # the table goes inside --out: a path there would crash or escape it
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        if name == "ABSOLUTE":
+            name = str(elsewhere / "x.csv")
+        out = tmp_path / "out"
+        config_path = write_config(tmp_path, {
+            "eta": 0.1, "n_max": 2, "sweep": {"variable": "eta", "values": [0.1]},
+            "outputs": {"sweep": name},
+        })
+        code = main(["--config", str(config_path), "--out", str(out), "--mode", "sweep"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: outputs.sweep: expected a bare file name")
+        assert not out.exists() and not list(elsewhere.iterdir())
 
     def test_missing_file_exit_one(self, tmp_path, capsys):
         code = main(["--config", str(tmp_path / "absent.json"),

@@ -1,8 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
 from pytest import approx
 
 from dense_oracle import annihilation, basis_state, number_electron, parity, transition
+from electrolum import build_system, pipeline
 from electrolum.hilbert import ELECTRONIC_LABELS, ModelSpace, SystemParams
 
 
@@ -14,6 +17,8 @@ class TestModelSpace:
     def test_rejects_no_photon_level(self):
         with pytest.raises(ValueError):
             ModelSpace(0)
+        with pytest.raises(ValueError):
+            ModelSpace(3)._replace(n_max=0)
 
     def test_index_round_trip(self):
         space = ModelSpace(4)
@@ -122,3 +127,31 @@ class TestSystemParams:
         # the dressed ground energy is negative, so the bias must be
         # allowed to follow it
         assert SystemParams(eta=0.1, mu=-0.05).mu == approx(-0.05)
+
+    def test_fields_cannot_be_assigned(self):
+        params = SystemParams(eta=0.1)
+        with pytest.raises(AttributeError):
+            params.eta = 0.2
+        with pytest.raises(AttributeError):
+            params.extra = 1.0
+        assert params.eta == 0.1
+
+    def test_replaced_copy_is_checked(self):
+        params = SystemParams(eta=0.1)
+        assert params._replace(mu=-0.05) == SystemParams(eta=0.1, mu=-0.05)
+        assert type(params._replace(mu=-0.05)) is SystemParams
+        with pytest.raises(ValueError, match="gamma_cav"):
+            params._replace(gamma_cav=-1.0)
+        with pytest.raises(ValueError, match="mu"):
+            params._replace(mu=float("nan"))
+
+    def test_build_system_checks_the_resolved_mu(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "resolve_mu", lambda *args, **kwargs: float("inf"))
+        with pytest.raises(ValueError, match="mu must be finite"):
+            build_system(SystemParams(eta=0.1), n_max=2, mu_mode="omega_G")
+
+    def test_pickle_round_trip(self):
+        params = SystemParams(eta=0.3, gamma_cav=1e-3, mu=-0.02)
+        copy = pickle.loads(pickle.dumps(params))
+        assert copy == params and type(copy) is SystemParams
+        assert pickle.loads(pickle.dumps(ModelSpace(4))) == ModelSpace(4)

@@ -8,10 +8,15 @@ such as ``np.unique`` import it lazily on first call.  numpy itself
 costs about 100 ms, and validating a configuration, ``--help`` and a
 configuration error need none of it: the front door (``electrolum``,
 ``electrolum.cli``, ``hilbert`` and ``settings``) imports no numpy, and
-the numerical names load on first use.  Every check runs in a fresh interpreter, since
-this process has long loaded numpy.
+the numerical names load on first use.  The front door also skips two
+standard-library imports: ``dataclasses``, which loads ``inspect``
+(about 15 ms), because the records are ``typing.NamedTuple``s, and, for
+validation alone, ``argparse``, which only ``cli.main`` imports.  Every
+check runs in a fresh interpreter, since this process has long loaded
+numpy.
 """
 
+import ast
 import json
 import os
 import random
@@ -56,6 +61,13 @@ numpy = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
 assert not numpy, f"numpy loaded: {numpy[:5]}"
 """
 
+# what validating a configuration must not import, beyond numpy
+NOT_FOR_VALIDATION = ("dataclasses", "inspect", "argparse")
+NO_UNNEEDED_MODULES = NO_NUMPY + f"""
+loaded = [m for m in {NOT_FOR_VALIDATION!r} if m in sys.modules]
+assert not loaded, f"loaded: {{loaded}}"
+"""
+
 
 def python(*args):
     """Run a fresh interpreter with this checkout's electrolum on its path."""
@@ -65,11 +77,15 @@ def python(*args):
                           capture_output=True, text=True, timeout=120)
 
 
+def imported(stderr):
+    """Modules that ``python -X importtime`` reports as imported."""
+    return [line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()
+            if line.startswith("import time:")]
+
+
 def imported_numpy(stderr):
-    """numpy modules that ``python -X importtime`` reports as imported."""
-    names = (line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()
-             if line.startswith("import time:"))
-    return [name for name in names if name == "numpy" or name.startswith("numpy.")]
+    """The numpy modules among :func:`imported`."""
+    return [name for name in imported(stderr) if name == "numpy" or name.startswith("numpy.")]
 
 
 @pytest.fixture
@@ -96,7 +112,7 @@ class TestNumpyFreeFrontDoor:
         for seed in (1, 2, 3):
             path = tmp_path / f"input{seed}.json"
             path.write_text(json.dumps(workload.make_input(random.Random(seed))))
-            result = python("-c", probe + "\n" + NO_NUMPY, path)
+            result = python("-c", probe + "\n" + NO_UNNEEDED_MODULES, path)
             assert result.returncode == 0, result.stderr
 
     def test_help_loads_no_numpy(self):
@@ -104,6 +120,7 @@ class TestNumpyFreeFrontDoor:
         assert result.returncode == 0, result.stderr
         assert "--config" in result.stdout
         assert imported_numpy(result.stderr) == []
+        assert {"dataclasses", "inspect"}.isdisjoint(imported(result.stderr))
 
     # the last is valid, but a sweep needs its sweep block
     @pytest.mark.parametrize("payload", [{"eta": 0.1, "typo": 1}, {"eta": -1.0}, "not json",
@@ -116,7 +133,24 @@ class TestNumpyFreeFrontDoor:
         assert result.returncode == 1
         assert "configuration error:" in result.stderr
         assert imported_numpy(result.stderr) == []
+        assert {"dataclasses", "inspect"}.isdisjoint(imported(result.stderr))
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_no_module_imports_dataclasses(self):
+        # NamedTuples take the records' place; dataclasses would load inspect
+        package = Path(electrolum.__file__).parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno}" for name in names
+                          if name.split(".")[0] == "dataclasses"]
+        assert found == []
 
     def test_failed_bind_raises_its_own_error(self, small_config, tmp_path):
         # main's handler for LinalgError, unbound until the run path is,

@@ -61,6 +61,14 @@ class TestEmissionSpectrum:
     def test_grid_must_ascend(self):
         with pytest.raises(ValueError):
             Spectrum(omegas=np.array([1.0, 0.5]), values=np.zeros(2))
+        with pytest.raises(ValueError, match="ascending"):
+            Spectrum(np.array([0.5, 1.0, 1.0]), np.zeros(3))
+
+    def test_metadata_is_a_new_empty_dict_each_read(self):
+        spec = Spectrum(np.linspace(0.0, 1.0, 3), np.zeros(3))
+        spec.metadata["failed_points"] = [1]
+        assert spec.metadata == {}
+        assert Spectrum(np.linspace(0.0, 1.0, 3), np.zeros(3)).metadata == {}
 
 
 class TestIntegratePeak:
