@@ -3,12 +3,12 @@
 
 Usage, from the root of a checkout:
 
-    python3 scripts/startup_budget.py --out BENCH_<n>.json \\
-        [--tree LABEL=SRC_DIR ...] [--rounds 20] [--importtime-runs 5] [--seed 1]
+    python3 scripts/startup_budget.py --out BENCH_<n>.json [--tree LABEL=SRC_DIR ...]
 
 Each ``--tree`` is an ``electrolum`` source directory (default: this
-checkout's ``src``).  Every round runs, in fresh processes and for each
-tree in turn (the order reversed every other round), two commands:
+checkout's ``src``).  Each of ``ROUNDS`` rounds runs, in fresh processes
+and for each tree in turn (the order reversed every other round), two
+commands:
 
 * the benchmark's own set-up probe, ``SETUP_PROBE`` of
   ``perfbench/run.py`` (interpreter start, ``import electrolum.cli``,
@@ -16,7 +16,7 @@ tree in turn (the order reversed every other round), two commands:
 * one ``python -m electrolum --mode sweep`` on that input: three eta
   values at n_max 8, spectrum, closed-form and rate-model columns on.
 
-After the timed rounds, ``--importtime-runs`` runs of each command under
+After the timed rounds, ``IMPORTTIME_RUNS`` runs of each command under
 ``python -X importtime`` give the median self time of every electrolum
 module, and the cumulative time of ``electrolum.cli`` and of each module
 that validation does not need (``dataclasses``, ``inspect``,
@@ -28,14 +28,14 @@ The JSON written to ``--out`` holds, per tree, the samples, median and
 quartiles of both wall times and the import breakdown, next to the
 host, Python, numpy, BLAS thread count, n_max and whether
 ``PYTHONDONTWRITEBYTECODE`` is set.  The workload input is the one
-``perfbench/workloads.py`` draws for ``sweep-n8`` from ``--seed``;
-neither file is changed.  This is a measurement script, not a test.
+``perfbench/workloads.py`` draws for ``sweep-n8`` from ``SEED``;
+neither file is changed.  Every process runs with ``BLAS_THREADS`` BLAS
+threads.  This is a measurement script, not a test.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
 import platform
@@ -50,19 +50,16 @@ from pathlib import Path
 import numpy
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "src")]  # workloads imports electrolum
+from perfbench_files import load  # noqa: E402  perfbench/<name>.py by path, unchanged
+
+ROUNDS = 30
+IMPORTTIME_RUNS = 5
+SEED = 1
+BLAS_THREADS = 2
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # modules that validating a configuration does not need
 NOT_FOR_VALIDATION = ("dataclasses", "inspect", "argparse", "numpy")
-
-
-def load_perfbench(name):
-    """perfbench/<name>.py by path, unchanged."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  ROOT / "perfbench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
 
 
 def summary(samples) -> dict:
@@ -98,14 +95,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--tree", action="append", metavar="LABEL=SRC_DIR",
                         help="an electrolum source directory to time (repeatable)")
-    parser.add_argument("--rounds", type=int, default=20)
-    parser.add_argument("--importtime-runs", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=1)
-    nproc = len(os.sched_getaffinity(0))
-    parser.add_argument("--blas-threads", type=int, default=min(2, nproc))
     args = parser.parse_args(argv)
-    if args.rounds < 2 or args.importtime_runs < 1:
-        parser.error("--rounds must be >= 2 and --importtime-runs >= 1")
 
     trees = {}
     for item in args.tree or [f"this={ROOT / 'src'}"]:
@@ -115,11 +105,10 @@ def main(argv=None) -> int:
             parser.error(f"--tree {item!r}: expected LABEL=DIR with DIR/electrolum")
         trees[label] = src
 
-    probe = load_perfbench("run").SETUP_PROBE
-    sys.path.insert(0, str(ROOT / "src"))  # workloads imports electrolum
-    raw = load_perfbench("workloads").WORKLOADS["sweep-n8"].make_input(random.Random(args.seed))
+    probe = load("run").SETUP_PROBE
+    raw = load("workloads").WORKLOADS["sweep-n8"].make_input(random.Random(SEED))
 
-    base_env = dict(os.environ, **{name: str(args.blas_threads) for name in BLAS_ENV})
+    base_env = dict(os.environ, **{name: str(BLAS_THREADS) for name in BLAS_ENV})
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         config = work / "input.json"
@@ -144,7 +133,7 @@ def main(argv=None) -> int:
             for name in commands:
                 run(label, name)  # warm-up, not timed
         walls = {label: {name: [] for name in commands} for label in trees}
-        for k in range(args.rounds):
+        for k in range(ROUNDS):
             for label in (list(trees) if k % 2 == 0 else list(trees)[::-1]):
                 for name in commands:
                     walls[label][name].append(run(label, name)[0])
@@ -154,7 +143,7 @@ def main(argv=None) -> int:
             imports = {}
             for name in commands:
                 runs = [import_ms(run(label, name, "-X", "importtime")[1])
-                        for _ in range(args.importtime_runs)]
+                        for _ in range(IMPORTTIME_RUNS)]
 
                 def median_ms(module, column):
                     return statistics.median(r.get(module, (0.0, 0.0))[column] for r in runs)
@@ -183,17 +172,17 @@ def main(argv=None) -> int:
     doc = {
         "what": "fresh-process wall time of the set-up probe and of one sweep-n8 CLI "
                 "sweep, alternated per round; -X importtime self and cumulative times",
-        "host": {"cpu_model": cpu_model(), "nproc": nproc, "machine": platform.machine(),
-                 "load_avg_at_end": os.getloadavg()},
+        "host": {"cpu_model": cpu_model(), "nproc": len(os.sched_getaffinity(0)),
+                 "machine": platform.machine(), "load_avg_at_end": os.getloadavg()},
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "blas": {"library": blas.get("name"), "threads": args.blas_threads},
+        "blas": {"library": blas.get("name"), "threads": BLAS_THREADS},
         "n_max": raw["n_max"],
         "sweep_input": raw,
         "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
-        "rounds": args.rounds,
-        "importtime_runs": args.importtime_runs,
-        "seed": args.seed,
+        "rounds": ROUNDS,
+        "importtime_runs": IMPORTTIME_RUNS,
+        "seed": SEED,
         "trees": results,
     }
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")

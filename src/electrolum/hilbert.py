@@ -16,8 +16,8 @@ subclasses, so nothing beyond ``math`` and ``typing`` either: the
 command line validates a configuration with ``SystemParams`` alone, so
 that checking a configuration, ``--help`` and a configuration error load
 neither numpy nor ``inspect``.  Both records check their fields in
-``__new__``, which every copy passes through: ``_replace`` and
-unpickling included.
+``__new__``, which unpickling passes through too; ``SystemParams``
+routes ``_replace`` through it, so a replaced copy is checked again.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ class ModelSpace(_ModelSpaceFields):
                 "involve the one-photon states"
             )
         return super().__new__(cls, n_max)
-
-    def _replace(self, **changes) -> ModelSpace:
-        # the inherited _replace skips __new__, and with it the check
-        return type(self)(**{**self._asdict(), **changes})
 
     @property
     def n_photon(self) -> int:

@@ -17,8 +17,6 @@ class TestModelSpace:
     def test_rejects_no_photon_level(self):
         with pytest.raises(ValueError):
             ModelSpace(0)
-        with pytest.raises(ValueError):
-            ModelSpace(3)._replace(n_max=0)
 
     def test_index_round_trip(self):
         space = ModelSpace(4)
