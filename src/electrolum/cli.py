@@ -285,9 +285,12 @@ def _write_table(config: RunConfig, mode: str, out_dir, notes, columns, rows) ->
     lines = [f"# {line}" for line in meta] + [",".join(columns)]
     lines += [",".join(_format(x) for x in row) for row in rows]
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / config.outputs[mode]
-    path.write_text("\n".join(lines) + "\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path.write_text("\n".join(lines) + "\n")
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err}") from err
     return path
 
 

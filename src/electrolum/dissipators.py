@@ -22,8 +22,8 @@ every rate is invariant under a global shift of the empty-state energy.
 
 The dressed elements are read off the parity-chain eigenvectors of the
 basis (:mod:`electrolum.rabi`), with no dense operator products, and the
-channels of a system form one :class:`ChannelTable` of parallel arrays,
-selected with masks over those elements.
+channels of each bath form one rate matrix ``[to, from]`` over the
+dressed levels (:class:`BathRates`), 0 where the bath has no channel.
 """
 
 from __future__ import annotations
@@ -51,14 +51,7 @@ BATH_OUT = "electron_out"
 
 
 class JumpChannel(NamedTuple):
-    """One dressed transition |to><from| with its golden-rule rate.
-
-    The jump operator is the rank-one |to><from| between two dressed
-    eigenstates by construction, which is what makes the master
-    equation exactly secular (see :mod:`electrolum.liouvillian`).
-    ``freq`` is the system energy drop E_from - E_to (positive for
-    emission; negative for injection channels, which pump the system).
-    """
+    """One row of the :class:`BathRates` row view; ``freq`` is E_from - E_to."""
 
     from_index: int
     to_index: int
@@ -67,42 +60,38 @@ class JumpChannel(NamedTuple):
     bath: str
 
 
-class ChannelTable:
-    """Jump channels as parallel arrays, one entry per channel.
+class BathRates:
+    """Rate matrices ``[to, from]`` of the three baths over the dressed levels.
 
-    Row k is the channel ``from_index[k] -> to_index[k]`` of bath
-    ``bath[k]``; ``len`` counts the rows and iterating yields them as
-    :class:`JumpChannel`, so the table is a plain class, not a tuple of
-    its columns.
+    Entry [i, j] of a bath's matrix is the rate of its jump |i><j|, 0
+    where it has none.  Every jump is a rank-one |to><from| between two
+    dressed eigenstates, which makes the master equation exactly secular
+    (:mod:`electrolum.liouvillian`), and no (to, from) pair belongs to two
+    baths, so the Pauli rate matrix is the plain sum of the three.
     """
 
-    __slots__ = JumpChannel._fields  # the columns, in row order
+    __slots__ = ("cavity", "electron_in", "electron_out", "energies")
 
-    def __init__(self, from_index: np.ndarray, to_index: np.ndarray, rate: np.ndarray,
-                 freq: np.ndarray, bath: np.ndarray):
-        self.from_index = from_index
-        self.to_index = to_index
-        self.rate = rate
-        self.freq = freq
-        self.bath = bath
+    def __init__(self, cavity: np.ndarray, electron_in: np.ndarray,
+                 electron_out: np.ndarray, energies: np.ndarray):
+        self.cavity = cavity
+        self.electron_in = electron_in
+        self.electron_out = electron_out
+        self.energies = energies
 
+    # Row view of the nonzero rates, kept only for the benchmark in
+    # perfbench/, which counts and iterates the channels as JumpChannel
+    # rows.  It goes once ROADMAP item 5 re-pins the benchmark.
     def __len__(self) -> int:
-        return len(self.rate)
+        return sum(map(np.count_nonzero, (self.cavity, self.electron_in, self.electron_out)))
 
     def __iter__(self):
-        return map(JumpChannel._make,
-                   zip(*(getattr(self, name).tolist() for name in self.__slots__)))
-
-    def of_bath(self, bath: str) -> ChannelTable:
-        """The rows of one bath, in table order."""
-        keep = self.bath == bath
-        return ChannelTable(*(getattr(self, name)[keep] for name in self.__slots__))
-
-    @classmethod
-    def concat(cls, tables) -> ChannelTable:
-        tables = list(tables)
-        return cls(*(np.concatenate([getattr(t, name) for t in tables])
-                     for name in cls.__slots__))
+        e = self.energies
+        for bath, rates in ((BATH_CAVITY, self.cavity), (BATH_OUT, self.electron_out),
+                            (BATH_IN, self.electron_in)):
+            j, i = np.nonzero(rates.T)
+            for row in zip(j.tolist(), i.tolist(), rates[i, j].tolist(), (e[j] - e[i]).tolist()):
+                yield JumpChannel(*row, bath)
 
 
 def gate_open(argument):
@@ -110,18 +99,10 @@ def gate_open(argument):
     return argument >= -GATE_TOL
 
 
-def _channels(basis: DressedBasis, elements: np.ndarray, allowed: np.ndarray,
-              bare_rate: float, bath: str) -> ChannelTable:
-    """Channels j -> i of rate bare_rate elements[i, j]^2 wherever allowed[i, j].
-
-    Elements below the weight cut are dropped.  Rows are ordered by
-    from-level, then by to-level.
-    """
+def _rates(elements: np.ndarray, allowed: np.ndarray, bare_rate: float) -> np.ndarray:
+    """bare_rate elements[i, j]^2 wherever allowed[i, j] and above the weight cut, else 0."""
     weight = elements**2
-    j, i = np.nonzero((allowed & (weight >= WEIGHT_CUT)).T)
-    e = basis.energies
-    return ChannelTable(from_index=j, to_index=i, rate=bare_rate * weight[i, j],
-                        freq=e[j] - e[i], bath=np.full(len(i), bath))
+    return np.where(allowed & (weight >= WEIGHT_CUT), bare_rate * weight, 0.0)
 
 
 def _downward(basis: DressedBasis) -> np.ndarray:
@@ -162,39 +143,25 @@ def injection_elements(basis: DressedBasis) -> np.ndarray:
     return o
 
 
-def channels_cavity(basis: DressedBasis, gamma_cav: float) -> ChannelTable:
-    """One zero-temperature photon channel per energy-decreasing pair."""
-    return _channels(basis, quadrature_elements(basis), _downward(basis), gamma_cav,
-                     BATH_CAVITY)
+def all_channels(basis: DressedBasis, params) -> BathRates:
+    """The three baths' rate matrices for one parameter set.
 
-
-def channels_out(basis: DressedBasis, gamma_out: float) -> ChannelTable:
-    """Extraction from every one-electron level into every |s,n>; no gate."""
-    allowed = np.outer(basis.sector == 0, basis.sector == 1)
-    return _channels(basis, injection_elements(basis).T, allowed, gamma_out, BATH_OUT)
-
-
-def channels_in(basis: DressedBasis, gamma_in: float, mu: float) -> ChannelTable:
-    """Injection |s,n> -> |i>, open only when mu + n*omega_c reaches the level.
-
-    The photon energy n*omega_c is taken as E_{s,n} - E_{s,0} and the
-    one-electron energies carry no empty-state offset, so the gate
-    argument is independent of omega_s.
+    The injection gate takes the photon energy n*omega_c as
+    E_{s,n} - E_{s,0}, and the one-electron energies carry no
+    empty-state offset, so the gate argument is independent of omega_s.
     """
     e = basis.energies
+    empty, one_electron = basis.sector == 0, basis.sector == 1
     photon_energy = e - e[basis.s_levels[0]]
-    allowed = (np.outer(basis.sector == 1, basis.sector == 0)
-               & gate_open(mu + photon_energy[None, :] - e[:, None]))
-    return _channels(basis, injection_elements(basis), allowed, gamma_in, BATH_IN)
-
-
-def all_channels(basis: DressedBasis, params) -> ChannelTable:
-    """Cavity, extraction, and injection channels for one parameter set."""
-    return ChannelTable.concat((
-        channels_cavity(basis, params.gamma_cav),
-        channels_out(basis, params.gamma_out),
-        channels_in(basis, params.gamma_in, params.mu),
-    ))
+    injection_gate = gate_open(params.mu + photon_energy[None, :] - e[:, None])
+    o_in = injection_elements(basis)
+    return BathRates(
+        cavity=_rates(quadrature_elements(basis), _downward(basis), params.gamma_cav),
+        electron_in=_rates(o_in, np.outer(one_electron, empty) & injection_gate,
+                           params.gamma_in),
+        electron_out=_rates(o_in.T, np.outer(empty, one_electron), params.gamma_out),
+        energies=e,
+    )
 
 
 def x_pm(basis: DressedBasis):

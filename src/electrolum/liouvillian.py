@@ -53,10 +53,12 @@ class SecularGenerator(NamedTuple):
         return self.rates.shape[0]
 
 
-def build_liouvillian(basis, channels) -> SecularGenerator:
-    """Pauli rate matrix and level out-rates of a channel table over the dressed basis."""
-    rates = np.zeros((basis.dim, basis.dim))
-    np.add.at(rates, (channels.to_index, channels.from_index), channels.rate)
+def build_liouvillian(channels) -> SecularGenerator:
+    """Pauli rate matrix and level out-rates: the sum of the three bath rate matrices.
+
+    No pair belongs to two baths, so the sum only adds zeros to a rate.
+    """
+    rates = channels.cavity + channels.electron_in + channels.electron_out
     return SecularGenerator(rates=rates, out_rates=rates.sum(axis=0))
 
 

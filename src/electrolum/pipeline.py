@@ -53,7 +53,7 @@ class DressedSystem(NamedTuple):
 
     params: SystemParams  # with mu already resolved to a number
     basis: DressedBasis
-    channels: dissipators.ChannelTable
+    channels: dissipators.BathRates
     lv: SecularGenerator
     populations: np.ndarray  # stationary populations of the dressed levels
 
@@ -86,7 +86,7 @@ def build_system(params: SystemParams, n_max: int = DEFAULT_N_MAX,
     mu = resolve_mu(mu_mode, basis, absolute=params.mu)
     params = params._replace(mu=mu)
     channels = dissipators.all_channels(basis, params)
-    lv = build_liouvillian(basis, channels)
+    lv = build_liouvillian(channels)
     return DressedSystem(
         params=params,
         basis=basis,

@@ -48,8 +48,8 @@ def extract_rates(lv: SecularGenerator, basis: DressedBasis) -> np.ndarray:
     """Rates among the five retained levels: ``rates[to, from]`` in STATE_ORDER.
 
     The restriction of the system's dressed Pauli rate matrix to those
-    levels.  Channels absent from its table (below the weight cut or
-    closed by the chemical-potential gate) enter as zero.
+    levels.  Channels below the weight cut or closed by the
+    chemical-potential gate enter as zero.
     """
     keep = five_levels(basis)
     return lv.rates[np.ix_(keep, keep)]

@@ -48,7 +48,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dissipators import BATH_CAVITY
 from .liouvillian import build_liouvillian
 from .rabi import DEGENERACY_TOL, DressedBasis
 
@@ -97,14 +96,12 @@ def _lorentzians(system):
     freq = E_from - E_to, with the half-width (Gamma_from + Gamma_to)/2
     of the coherence it leaves behind; p are the stationary populations
     of the dressed levels.  Zero-flux channels are dropped, so no term
-    is ever 0/0.
+    is ever 0/0.  Lines are listed by from-level, then by to-level.
     """
-    p, out = system.populations, system.lv.out_rates
-    cav = system.channels.of_bath(BATH_CAVITY)
-    fluxes = cav.rate * p[cav.from_index]
-    widths = 0.5 * (out[cav.from_index] + out[cav.to_index])
-    lit = fluxes != 0.0
-    return fluxes[lit], widths[lit], cav.freq[lit]
+    out, e = system.lv.out_rates, system.basis.energies
+    emitted = (system.channels.cavity * system.populations).T  # [from, to]: rate * p_from
+    j, i = np.nonzero(emitted)
+    return emitted[j, i], 0.5 * (out[j] + out[i]), e[j] - e[i]
 
 
 def emission_spectrum(system, grid) -> Spectrum:
@@ -184,7 +181,7 @@ def default_windows(basis: DressedBasis):
 
 def line_halfwidths(basis: DressedBasis, channels):
     """Lorentzian half-widths of the three lines: mean of the two level widths."""
-    out = build_liouvillian(basis, channels).out_rates
+    out = build_liouvillian(channels).out_rates
     return {name: 0.5 * (out[up] + out[low]) for name, (up, low) in basis.lines.items()}
 
 

@@ -120,40 +120,47 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape((n, n), order="F")
 
 
-def jump_operator(basis, ch) -> np.ndarray:
+def jump_operator(basis, to_index: int, from_index: int) -> np.ndarray:
     """|to><from| of one channel, in the bare basis."""
-    return np.outer(basis.states[:, ch.to_index], basis.states[:, ch.from_index].conj())
+    return np.outer(basis.states[:, to_index], basis.states[:, from_index].conj())
 
 
-def liouvillian(h: np.ndarray, basis, channels) -> np.ndarray:
+def summed_rates(channels) -> np.ndarray:
+    """Rate matrix [to, from] of the three baths together; each nonzero entry is one jump."""
+    return channels.cavity + channels.electron_in + channels.electron_out
+
+
+def liouvillian(h: np.ndarray, basis, rates: np.ndarray) -> np.ndarray:
     """L(rho) = -i[H, rho] + sum_k rate_k D[A_k](rho) as a dense superoperator.
 
-    D[A](rho) = A rho A^dagger - (A^dagger A rho + rho A^dagger A) / 2.
-    With A = |v_to><v_from|, conj(A) kron A is the outer product of
-    kron(conj(v_to), v_to) and kron(conj(v_from), v_from), so the jump
-    part collapses into one matrix product.
+    Every nonzero entry rates[to, from] is one channel A_k = |to><from|
+    of that rate.  D[A](rho) = A rho A^dagger - (A^dagger A rho + rho
+    A^dagger A) / 2.  With A = |v_to><v_from|, conj(A) kron A is the
+    outer product of kron(conj(v_to), v_to) and kron(conj(v_from),
+    v_from), so the jump part collapses into one matrix product.
     """
     h = np.asarray(h, dtype=complex)
     dim = h.shape[0]
     eye = np.eye(dim, dtype=complex)
     mat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    if not channels:
+    to, frm = np.nonzero(rates)
+    if not to.size:
         return mat
-    rates = np.array([ch.rate for ch in channels])
-    v_to = basis.states[:, [ch.to_index for ch in channels]]
-    v_from = basis.states[:, [ch.from_index for ch in channels]]
+    weights = rates[to, frm]
+    v_to = basis.states[:, to]
+    v_from = basis.states[:, frm]
     w_to = np.stack([np.kron(u.conj(), u) for u in v_to.T], axis=1)
     w_from = np.stack([np.kron(u.conj(), u) for u in v_from.T], axis=1)
-    mat += (w_to * rates) @ w_from.conj().T
+    mat += (w_to * weights) @ w_from.conj().T
     # sum_k rate_k A_k^dagger A_k = sum_k rate_k |v_from><v_from|
-    anticomm = (v_from * rates) @ v_from.conj().T
+    anticomm = (v_from * weights) @ v_from.conj().T
     mat -= 0.5 * (np.kron(eye, anticomm) + np.kron(anticomm.T, eye))
     return mat
 
 
 def system_liouvillian(system) -> np.ndarray:
     return liouvillian(hamiltonian(system.params, system.basis.space), system.basis,
-                       system.channels)
+                       summed_rates(system.channels))
 
 
 def apply(mat: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -165,14 +172,14 @@ def apply(mat: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return unvec(mat @ vec(rho))
 
 
-def lindblad_rhs(h: np.ndarray, basis, channels, rho: np.ndarray) -> np.ndarray:
+def lindblad_rhs(h: np.ndarray, basis, rates: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Direct evaluation of the master-equation right-hand side, channel by channel."""
     drho = -1j * (h @ rho - rho @ h)
-    for ch in channels:
-        a = jump_operator(basis, ch)
+    for to, frm in zip(*np.nonzero(rates)):
+        a = jump_operator(basis, to, frm)
         ad = a.conj().T
         ada = ad @ a
-        drho += ch.rate * (a @ rho @ ad - 0.5 * (ada @ rho + rho @ ada))
+        drho += rates[to, frm] * (a @ rho @ ad - 0.5 * (ada @ rho + rho @ ada))
     return drho
 
 

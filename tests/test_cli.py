@@ -16,7 +16,6 @@ from electrolum.cli import (
     run_sweep,
     validate_config,
 )
-from electrolum.dissipators import BATH_CAVITY
 from electrolum.settings import DEFAULT_GRID, DEFAULT_N_MAX
 from electrolum.rabi import dressed_basis, hamiltonian
 from electrolum.ratemodel import analytic_el
@@ -327,7 +326,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("mu_mode", ["omega_G", "omega_G_plus_omega_plus"])
     def test_window_columns_are_exact_arctan_integrals(self, tmp_path, mu_mode):
-        # every cavity channel row is a Lorentzian of flux rate * p_from and
+        # every cavity channel is a Lorentzian of flux rate * p_from and
         # half-width the mean out-rate of its two levels; a grid trapezoid
         # sits about 1.5e-4 below this integral
         config = validate_config({
@@ -339,20 +338,19 @@ class TestRunSweep:
         _, header, data = load_table(run_sweep(config, tmp_path))
         for row in data:
             system = build_system(config.params(eta=row[0]), n_max=6, mu_mode=mu_mode)
-            out_rates = np.zeros(system.basis.dim)
-            for ch in system.channels:
-                out_rates[ch.from_index] += ch.rate
-            windows = line_windows(system.basis, system.channels, scale=5.0)
+            channels, e = system.channels, system.basis.energies
+            out_rates = (channels.cavity + channels.electron_in
+                         + channels.electron_out).sum(axis=0)
+            windows = line_windows(system.basis, channels, scale=5.0)
             for column, line in (("f_C", "central"), ("f_plus", "plus"),
                                  ("f_minus", "minus")):
                 win, expected = windows[line], 0.0
-                for ch in system.channels:
-                    if ch.bath != BATH_CAVITY:
-                        continue
-                    half = 0.5 * (out_rates[ch.from_index] + out_rates[ch.to_index])
-                    share = (np.arctan((win.hi - ch.freq) / half)
-                             - np.arctan((win.lo - ch.freq) / half)) / np.pi
-                    expected += ch.rate * system.populations[ch.from_index] * share
+                for i, j in zip(*np.nonzero(channels.cavity)):
+                    half = 0.5 * (out_rates[j] + out_rates[i])
+                    freq = e[j] - e[i]
+                    share = (np.arctan((win.hi - freq) / half)
+                             - np.arctan((win.lo - freq) / half)) / np.pi
+                    expected += channels.cavity[i, j] * system.populations[j] * share
                 expected /= window_capture(5.0)
                 got = row[header.index(column)]
                 assert got == approx(expected, rel=1e-12, abs=0.0), column
@@ -459,6 +457,25 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: outputs.sweep: expected a bare file name")
         assert not out.exists() and not list(elsewhere.iterdir())
+
+    @pytest.mark.parametrize("blocker", ["table_is_a_directory", "out_is_a_file"])
+    def test_unwritable_table_exit_one(self, tmp_path, capsys, blocker):
+        # a table that cannot be written is a configuration error naming the
+        # path, not a traceback
+        out = tmp_path / "out"
+        if blocker == "table_is_a_directory":
+            (out / "x").mkdir(parents=True)
+        else:
+            out.write_text("")
+        config_path = write_config(tmp_path, {
+            "eta": 0.1, "n_max": 2, "sweep": {"variable": "eta", "values": [0.1]},
+            "outputs": {"sweep": "x"},
+        })
+        code = main(["--config", str(config_path), "--out", str(out), "--mode", "sweep"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write {out / 'x'}: ")
+        assert err.count("\n") == 1
 
     def test_missing_file_exit_one(self, tmp_path, capsys):
         code = main(["--config", str(tmp_path / "absent.json"),

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from channel_rows import find_channel
 from dense_oracle import annihilation, basis_state, quadrature
 from electrolum.dissipators import (
     BATH_CAVITY,
@@ -12,9 +11,6 @@ from electrolum.dissipators import (
     BATH_OUT,
     WEIGHT_CUT,
     all_channels,
-    channels_cavity,
-    channels_in,
-    channels_out,
     gate_open,
     injection_elements,
     quadrature_elements,
@@ -31,114 +27,116 @@ def make_basis(eta, n_max=8, **kwargs):
     return dressed_basis(hamiltonian(params, space), space), space, params
 
 
+def bath(basis, params, name, **changes):
+    """Rate matrix [to, from] of one bath, from all_channels at params with changes."""
+    return getattr(all_channels(basis, params._replace(**changes)), name)
+
+
 class TestCavityChannels:
     def test_bare_photon_decay(self):
-        basis, space, _ = make_basis(0.0)
-        chans = channels_cavity(basis, 7e-4)
+        basis, space, params = make_basis(0.0)
+        cav = bath(basis, params, "cavity", gamma_cav=7e-4)
         s1, s0 = basis.s_levels[1], basis.s_levels[0]
-        assert find_channel(chans, s1, s0) == approx(7e-4)
+        assert cav[s0, s1] == approx(7e-4)
 
     def test_polariton_rates_weak_coupling(self):
         # polaritons are half photon: each decays at gamma_cav / 2
-        basis, space, _ = make_basis(1e-3)
-        chans = channels_cavity(basis, 7e-4)
+        basis, space, params = make_basis(1e-3)
+        cav = bath(basis, params, "cavity", gamma_cav=7e-4)
         for idx in (basis.index_plus, basis.index_minus):
-            rate = find_channel(chans, idx, basis.index_ground)
-            assert rate == approx(7e-4 / 2, rel=1e-2)
+            assert cav[basis.index_ground, idx] == approx(7e-4 / 2, rel=1e-2)
 
     def test_polariton_rate_sum(self):
         eta = 0.1
-        basis, space, _ = make_basis(eta)
-        chans = channels_cavity(basis, 7e-4)
-        total = find_channel(chans, basis.index_plus, basis.index_ground) \
-            + find_channel(chans, basis.index_minus, basis.index_ground)
+        basis, space, params = make_basis(eta)
+        cav = bath(basis, params, "cavity", gamma_cav=7e-4)
+        total = cav[basis.index_ground, basis.index_plus] \
+            + cav[basis.index_ground, basis.index_minus]
         assert total == approx(7e-4, rel=2 * eta**2)
 
     def test_emission_frequencies_positive(self):
-        basis, space, _ = make_basis(0.1)
-        for ch in channels_cavity(basis, 7e-4):
-            assert ch.freq > 0
-            assert ch.rate >= 0
+        basis, space, params = make_basis(0.1)
+        cav = bath(basis, params, "cavity", gamma_cav=7e-4)
+        to, frm = np.nonzero(cav)
+        assert to.size > 0
+        assert np.all(basis.energies[frm] > basis.energies[to])
+        assert np.all(cav >= 0)
 
     def test_channel_operator_pattern(self):
         # channel j -> i is the dressed element <i|X|j> of the bare quadrature
-        basis, space, _ = make_basis(0.1)
+        basis, space, params = make_basis(0.1)
+        cav = bath(basis, params, "cavity", gamma_cav=7e-4)
         v = basis.states
         x = quadrature(space)
-        for ch in list(channels_cavity(basis, 7e-4))[:10]:
-            element = v[:, ch.to_index].conj() @ x @ v[:, ch.from_index]
-            assert ch.rate == approx(7e-4 * abs(element) ** 2, rel=1e-12, abs=0)
-            assert ch.freq == approx(basis.energies[ch.from_index]
-                                     - basis.energies[ch.to_index], abs=1e-15)
+        frm, to = np.nonzero(cav.T)
+        for j, i in list(zip(frm, to))[:10]:
+            element = v[:, i].conj() @ x @ v[:, j]
+            assert cav[i, j] == approx(7e-4 * abs(element) ** 2, rel=1e-12, abs=0)
 
 
 class TestExtractionChannels:
     def test_uncoupled_extracts_to_vacuum_only(self):
-        basis, space, _ = make_basis(0.0)
-        chans = channels_out(basis, 0.5e-6)
+        basis, space, params = make_basis(0.0)
+        out = bath(basis, params, "electron_out", gamma_out=0.5e-6)
         g = basis.index_ground
-        assert find_channel(chans, g, basis.s_levels[0]) == approx(0.5e-6, rel=1e-6, abs=0)
-        assert find_channel(chans, g, basis.s_levels[1]) == approx(0.0, abs=0)
+        assert out[basis.s_levels[0], g] == approx(0.5e-6, rel=1e-6, abs=0)
+        assert out[basis.s_levels[1], g] == approx(0.0, abs=0)
 
     def test_ground_state_photon_release(self):
         # extraction out of |G> leaves one photon with weight eta^2/4
         eta = 0.05
-        basis, space, _ = make_basis(eta)
-        chans = channels_out(basis, 1.0)
-        rate = find_channel(chans, basis.index_ground, basis.s_levels[1])
-        assert rate == approx(eta**2 / 4, rel=0.1)
+        basis, space, params = make_basis(eta)
+        out = bath(basis, params, "electron_out", gamma_out=1.0)
+        assert out[basis.s_levels[1], basis.index_ground] == approx(eta**2 / 4, rel=0.1)
 
     def test_polariton_extraction_half_half(self):
-        basis, space, _ = make_basis(1e-3)
-        chans = channels_out(basis, 1.0)
+        basis, space, params = make_basis(1e-3)
+        out = bath(basis, params, "electron_out", gamma_out=1.0)
         for idx in (basis.index_plus, basis.index_minus):
             for n in (0, 1):
-                rate = find_channel(chans, idx, basis.s_levels[n])
-                assert rate == approx(0.5, rel=1e-2)
+                assert out[basis.s_levels[n], idx] == approx(0.5, rel=1e-2)
 
     @pytest.mark.parametrize("eta", [0.05, 0.1, 0.3])
     def test_rate_sum_rule(self, eta):
         # total extraction out of any one-electron level is the bare rate
-        basis, space, _ = make_basis(eta)
-        chans = channels_out(basis, 1.0)
+        basis, space, params = make_basis(eta)
+        out = bath(basis, params, "electron_out", gamma_out=1.0)
         for j in (basis.index_ground, basis.index_minus, basis.index_plus):
-            total = sum(ch.rate for ch in chans if ch.from_index == j)
-            assert total == approx(1.0, abs=1e-10)
+            assert out[:, j].sum() == approx(1.0, abs=1e-10)
 
 
 class TestInjectionChannels:
     def test_low_bias_reaches_ground_only(self):
-        basis, space, _ = make_basis(0.05)
-        chans = channels_in(basis, 1.0, mu=basis.omega_ground)
+        basis, space, params = make_basis(0.05)
+        inj = bath(basis, params, "electron_in", gamma_in=1.0, mu=basis.omega_ground)
         s0 = basis.s_levels[0]
-        assert find_channel(chans, s0, basis.index_ground) > 0
-        assert find_channel(chans, s0, basis.index_plus) == 0.0
-        assert find_channel(chans, s0, basis.index_minus) == 0.0
+        assert inj[basis.index_ground, s0] > 0
+        assert inj[basis.index_plus, s0] == 0.0
+        assert inj[basis.index_minus, s0] == 0.0
 
     def test_ground_injection_unit_weight(self):
-        basis, space, _ = make_basis(1e-3)
-        chans = channels_in(basis, 1.0, mu=0.0)
-        rate = find_channel(chans, basis.s_levels[0], basis.index_ground)
-        assert rate == approx(1.0, rel=1e-5)
+        basis, space, params = make_basis(1e-3)
+        inj = bath(basis, params, "electron_in", gamma_in=1.0, mu=0.0)
+        assert inj[basis.index_ground, basis.s_levels[0]] == approx(1.0, rel=1e-5)
 
     def test_polariton_injection_half_each(self):
-        basis, space, _ = make_basis(1e-3)
+        basis, space, params = make_basis(1e-3)
         mu = basis.omega_ground + basis.omega_plus
-        chans = channels_in(basis, 1.0, mu=mu)
+        inj = bath(basis, params, "electron_in", gamma_in=1.0, mu=mu)
         s0 = basis.s_levels[0]
-        assert find_channel(chans, s0, basis.index_plus) == approx(0.5, rel=1e-2)
-        assert find_channel(chans, s0, basis.index_minus) == approx(0.5, rel=1e-2)
+        assert inj[basis.index_plus, s0] == approx(0.5, rel=1e-2)
+        assert inj[basis.index_minus, s0] == approx(0.5, rel=1e-2)
 
     def test_threshold_exactness(self):
-        basis, space, _ = make_basis(0.1)
+        basis, space, params = make_basis(0.1)
         s0 = basis.s_levels[0]
         for idx, omega in ((basis.index_minus, basis.omega_minus),
                            (basis.index_plus, basis.omega_plus)):
             threshold = basis.omega_ground + omega
-            below = channels_in(basis, 1.0, mu=threshold - 2e-9)
-            at = channels_in(basis, 1.0, mu=threshold)
-            assert find_channel(below, s0, idx) == 0.0
-            assert find_channel(at, s0, idx) > 0.0
+            below = bath(basis, params, "electron_in", gamma_in=1.0, mu=threshold - 2e-9)
+            at = bath(basis, params, "electron_in", gamma_in=1.0, mu=threshold)
+            assert below[idx, s0] == 0.0
+            assert at[idx, s0] > 0.0
 
     @given(
         mu_lo=st.floats(-0.2, 2.2),
@@ -146,12 +144,10 @@ class TestInjectionChannels:
     )
     @settings(max_examples=20, deadline=None)
     def test_monotone_gating(self, mu_lo, delta):
-        basis, space, _ = make_basis(0.1, n_max=4)
-        lo = channels_in(basis, 1.0, mu=mu_lo)
-        hi = channels_in(basis, 1.0, mu=mu_lo + delta)
-        lo_keys = {(ch.from_index, ch.to_index) for ch in lo}
-        hi_keys = {(ch.from_index, ch.to_index) for ch in hi}
-        assert lo_keys <= hi_keys
+        basis, space, params = make_basis(0.1, n_max=4)
+        lo = bath(basis, params, "electron_in", gamma_in=1.0, mu=mu_lo)
+        hi = bath(basis, params, "electron_in", gamma_in=1.0, mu=mu_lo + delta)
+        assert np.all(hi[lo != 0] != 0)
 
     @pytest.mark.parametrize("mu_mode", ["omega_G", "omega_G_plus_omega_plus"])
     @given(
@@ -168,15 +164,15 @@ class TestInjectionChannels:
                               n_max=10, mu_mode=mu_mode)
         basis, mu = system.basis, system.params.mu
 
-        def keys(mu):
-            return {(ch.from_index, ch.to_index) for ch in channels_in(basis, 1.0, mu)}
+        def opened(mu):
+            return bath(basis, system.params, "electron_in", gamma_in=1.0, mu=mu) != 0
 
-        at = keys(mu)
+        at = opened(mu)
         for direction in (-np.inf, np.inf):
             shifted = mu
             for _ in range(4):
                 shifted = np.nextafter(shifted, direction)
-                assert keys(shifted) == at, (shifted - mu)
+                assert np.array_equal(opened(shifted), at), (shifted - mu)
 
     def test_gate_zero_is_open(self):
         assert gate_open(0.0)
@@ -185,7 +181,7 @@ class TestInjectionChannels:
 
 
 def loop_channels(basis, params):
-    """Channel rows built pair by pair: the reference for the vectorized table."""
+    """Channel rows built pair by pair: the reference for the rows of all_channels."""
     e = basis.energies
     rows = []
 
@@ -221,7 +217,7 @@ def level_label(basis, k):
     return ("1el", int(np.searchsorted(np.flatnonzero(basis.sector == 1), k)))
 
 
-class TestChannelTable:
+class TestChannelRows:
     @pytest.mark.parametrize("eta, mu, omega_s", [
         (0.0, 0.0, 0.0), (0.1, 0.9, 0.0), (0.1, 2.05, 0.37), (0.3, 1.3, 0.0),
     ])
@@ -229,22 +225,42 @@ class TestChannelTable:
         # same rows in the same order; a rate may differ in its last bit,
         # because an array squares by multiplication and a scalar by pow
         basis, space, params = make_basis(eta, n_max=6, mu=mu, omega_s=omega_s)
-        table = list(all_channels(basis, params))
-        reference = loop_channels(basis, params)
-        assert [(r.from_index, r.to_index, r.freq, r.bath) for r in table] == \
-            [(j, i, freq, bath) for j, i, _, freq, bath in reference]
-        for row, ref in zip(table, reference):
-            assert row.rate == approx(ref[2], rel=4e-16, abs=0.0)
+        assert_rows_match_pair_loops(basis, params)
+
+    def test_zero_rate_is_no_row(self):
+        # with gamma_out = 0 the extraction pairs carry no rate, so they are
+        # neither rows nor counted by len: the benchmark's
+        # dissipators.channels counts the nonzero rates
+        basis, space, params = make_basis(0.1, n_max=6, mu=0.9, gamma_out=0.0)
+        rows = assert_rows_match_pair_loops(basis, params)
+        assert {row.bath for row in rows} == {BATH_CAVITY, BATH_IN}
+
+
+def assert_rows_match_pair_loops(basis, params):
+    """The row view of all_channels against the nonzero-rate rows of the pair loops."""
+    channels = all_channels(basis, params)
+    table = list(channels)
+    reference = [row for row in loop_channels(basis, params) if row[2] != 0.0]
+    assert len(channels) == len(table) == len(reference)
+    assert [(r.from_index, r.to_index, r.freq, r.bath) for r in table] == \
+        [(j, i, freq, bath) for j, i, _, freq, bath in reference]
+    for row, ref in zip(table, reference):
+        assert row.rate == approx(ref[2], rel=4e-16, abs=0.0)
+    return table
 
 
 class TestShiftInvariance:
     def test_rates_independent_of_empty_state_offset(self):
         def rate_map(omega_s):
             basis, space, params = make_basis(0.1, omega_s=omega_s, mu=0.3)
-            return {
-                (c.bath, level_label(basis, c.from_index), level_label(basis, c.to_index)):
-                c.rate for c in all_channels(basis, params)
-            }
+            channels = all_channels(basis, params)
+            rates = {}
+            for name in ("cavity", "electron_in", "electron_out"):
+                matrix = getattr(channels, name)
+                for i, j in zip(*np.nonzero(matrix)):
+                    key = (name, level_label(basis, int(j)), level_label(basis, int(i)))
+                    rates[key] = matrix[i, j]
+            return rates
 
         reference = rate_map(0.0)
         shifted = rate_map(0.37)

@@ -6,7 +6,6 @@ from scipy.integrate import solve_ivp
 
 from dense_oracle import generator, null_vector
 from electrolum import SystemParams, build_system
-from electrolum.dissipators import BATH_CAVITY
 from electrolum.linalg import (
     LinalgError,
     NullSpaceError,
@@ -79,10 +78,11 @@ class TestStationaryDistribution:
         system = build_system(SystemParams(eta=0.1), n_max=12, mu_mode="omega_G")
         exact = exact_stationary(system.lv.rates, 120)
         win = default_windows(system.basis)["central"]
+        cavity, e = system.channels.cavity, system.basis.energies
         with mpmath.workdps(120):
             flux = mpmath.fsum(
-                mpmath.mpf(ch.rate) * exact[ch.from_index] for ch in system.channels
-                if ch.bath == BATH_CAVITY and win.lo <= ch.freq <= win.hi
+                mpmath.mpf(cavity[i, j]) * exact[j] for i, j in zip(*np.nonzero(cavity))
+                if win.lo <= e[j] - e[i] <= win.hi
             )
             computed = mpmath.mpf(system.line_fluxes()["central"])
             assert abs(computed - flux) <= 1e-14 * flux

@@ -6,9 +6,9 @@ import scipy.linalg as sla
 from pytest import approx
 
 import dense_oracle
-from channel_rows import channel_table
+from channel_rows import bath_rates
 from electrolum import ModelSpace, SystemParams, build_system
-from electrolum.dissipators import BATH_CAVITY, channels_cavity
+from electrolum.dissipators import all_channels
 from electrolum.liouvillian import (
     SteadyStateError,
     build_liouvillian,
@@ -40,11 +40,10 @@ def dressed(basis, rho):
 class TestGenerator:
     def test_stationary_eigenprojector_without_channels(self):
         h, basis, _ = small_basis()
-        no_channels = channel_table([])
-        lv = build_liouvillian(basis, no_channels)
+        lv = build_liouvillian(bath_rates(basis.energies))
         assert lv.dim == basis.dim
         assert not lv.rates.any() and not lv.out_rates.any()
-        dense = dense_oracle.liouvillian(h, basis, no_channels)
+        dense = dense_oracle.liouvillian(h, basis, np.zeros((basis.dim, basis.dim)))
         v = basis.states[:, 1]
         drho = dense_oracle.apply(dense, np.outer(v, v.conj()))
         assert np.max(np.abs(drho)) == approx(0.0, abs=1e-14)
@@ -53,14 +52,15 @@ class TestGenerator:
         gamma = 0.2
         h, basis, _ = small_basis()
         i, j = 0, 3
-        ch = channel_table([(j, i, gamma, basis.energies[j] - basis.energies[i], BATH_CAVITY)])
-        lv = build_liouvillian(basis, ch)
+        rates = np.zeros((basis.dim, basis.dim))
+        rates[i, j] = gamma
+        lv = build_liouvillian(bath_rates(basis.energies, cavity=rates))
         assert lv.rates[i, j] == approx(gamma)
         assert lv.out_rates[j] == approx(gamma)
         # the dense generator applied to |j><j| moves population j -> i
         v = basis.states[:, j]
         drho = dressed(basis, dense_oracle.apply(
-            dense_oracle.liouvillian(h, basis, ch), np.outer(v, v.conj())))
+            dense_oracle.liouvillian(h, basis, rates), np.outer(v, v.conj())))
         assert np.real(drho[j, j]) == approx(-gamma)
         assert np.real(drho[i, i]) == approx(gamma)
 
@@ -82,7 +82,8 @@ class TestGenerator:
         h = dense_oracle.hamiltonian(system.params, system.basis.space)
         for _ in range(10):
             rho = random_density(system.lv.dim, rng)
-            direct = dense_oracle.lindblad_rhs(h, system.basis, system.channels, rho)
+            direct = dense_oracle.lindblad_rhs(
+                h, system.basis, dense_oracle.summed_rates(system.channels), rho)
             assert np.max(np.abs(dense_oracle.apply(dense, rho) - direct)) < 1e-12
 
     def test_block_form_matches_dense_generator(self, rng):
@@ -119,21 +120,26 @@ def _reference_generator(n_max=3):
     return system, dense_oracle.system_liouvillian(system)
 
 
+# the cavity bath alone (gamma_cav 7e-4), for the bases of small_basis
+CAVITY_ONLY = SystemParams(eta=0.1, gamma_in=0.0, gamma_out=0.0)
+
+
 class TestSteadyState:
     def test_cavity_only_kernel_is_ambiguous(self):
         # without electron exchange both sector grounds are stationary;
         # the dense generator agrees
         h, basis, space = small_basis()
-        channels = channels_cavity(basis, 7e-4)
+        channels = all_channels(basis, CAVITY_ONLY)
         with pytest.raises(SteadyStateError):
-            steady_state(build_liouvillian(basis, channels))
+            steady_state(build_liouvillian(channels))
         with pytest.raises(SteadyStateError):
-            dense_oracle.steady_state(dense_oracle.liouvillian(h, basis, channels))
+            dense_oracle.steady_state(dense_oracle.liouvillian(
+                h, basis, dense_oracle.summed_rates(channels)))
 
     def test_cavity_only_empty_sector_drains_to_vacuum(self):
         # starting in the empty sector, everything funnels into |s,0>
         _, basis, space = small_basis()
-        lv = build_liouvillian(basis, channels_cavity(basis, 7e-4))
+        lv = build_liouvillian(all_channels(basis, CAVITY_ONLY))
         p0 = np.zeros(basis.dim)
         p0[basis.s_levels[2]] = 1.0
         horizon = 50.0 / 7e-4
@@ -165,20 +171,43 @@ class TestSteadyState:
         p = system.populations
         assert np.max(np.abs(dense_oracle.generator(system.lv.rates) @ p)) < 1e-14 * np.max(system.lv.out_rates)
 
+    @pytest.mark.parametrize("n_max", [8, 16])
+    @pytest.mark.parametrize("mu_mode", ["omega_G", "omega_G_plus_omega_plus"])
+    @pytest.mark.parametrize("eta", [0.02, 0.1, 0.3, 1.0])
+    def test_steady_state_carries_one_current(self, eta, mu_mode, n_max):
+        # cavity jumps keep the electron number, so d/dt P(one electron) =
+        # I_in - I_out and the two currents are equal in the steady state.
+        # The bound comes from GTH's entrywise accuracy, not from the data.
+        # GTH builds every population from sums, products and quotients of
+        # non-negative numbers, with no cancellation, each sum over at most
+        # D terms; each p_k is taken to a relative error of a few D eps, 4 D
+        # eps here (a rigorous worst case grows faster in D).  Each current
+        # sums at most D non-negative terms (column sums of rates) x p_k,
+        # which adds at most 2 D eps.  So the two currents differ by at
+        # most 2 (4 + 2) D eps = 12 D eps relative to either.
+        system = build_system(SystemParams(eta=eta), n_max=n_max, mu_mode=mu_mode)
+        channels, p = system.channels, system.populations
+        current_in = channels.electron_in.sum(axis=0) @ p
+        current_out = channels.electron_out.sum(axis=0) @ p
+        assert current_in > 0.0
+        bound = 12 * system.lv.dim * np.finfo(float).eps
+        assert abs(current_in - current_out) <= bound * current_in
+
     def test_physicality(self, low_bias_system):
         report = check_density_operator(low_bias_system.rho_ss)
         assert report["ok"], report
 
     def test_no_injection_no_extraction_is_ambiguous(self):
         system = build_system(SystemParams(eta=0.1, mu=0.2), mu_mode="absolute")
-        cavity_only = system.channels.of_bath(BATH_CAVITY)
+        cavity_only = all_channels(system.basis,
+                                   system.params._replace(gamma_in=0.0, gamma_out=0.0))
         with pytest.raises(SteadyStateError):
-            steady_state(build_liouvillian(system.basis, cavity_only))
+            steady_state(build_liouvillian(cavity_only))
         with pytest.raises(SteadyStateError):
             dense_oracle.steady_state(
                 dense_oracle.liouvillian(
                     dense_oracle.hamiltonian(system.params, system.basis.space),
-                    system.basis, cavity_only))
+                    system.basis, dense_oracle.summed_rates(cavity_only)))
 
 
 class TestSpectralStructure:
