@@ -261,6 +261,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read configuration file: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"configuration is not valid JSON: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"configuration is not UTF-8 text: {err}") from err
     return validate_config(raw)
 
 

@@ -62,6 +62,12 @@ def number_photon(space) -> np.ndarray:
     return a.conj().T @ a
 
 
+def ground_photon_number(basis, space) -> float:
+    """<G| a^dagger a |G>: bound photons in the dressed ground state."""
+    g = basis.states[:, basis.index_ground]
+    return float(np.real(g.conj() @ number_photon(space) @ g))
+
+
 def parity(space) -> np.ndarray:
     """Excitation parity exp(i pi (a^dagger a + |e><e|)), diagonal in the bare basis."""
     diag = np.empty(space.dim)

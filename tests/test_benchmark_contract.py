@@ -3,10 +3,10 @@
 perfbench/traced.py wraps every function in its ``TARGETS`` at the name
 its caller looks it up by, and reads counts off some results; a name
 that is gone makes every traced operation fail.  perfbench/workloads.py
-iterates the channel table row by row, and perfbench/cutoff_op.py and
-the workload checks read the CLI's RunConfig.  The files are loaded by
-path, unchanged, and checked against a freshly built system or run on a
-workload's own input.
+iterates the row view of ``dissipators.BathRates``, and
+perfbench/cutoff_op.py and the workload checks read the CLI's
+RunConfig.  The files are loaded by path, unchanged, and checked against
+a freshly built system or run on a workload's own input.
 """
 
 import importlib

@@ -481,3 +481,13 @@ class TestMain:
         code = main(["--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path), "--mode", "spectrum"])
         assert code == 1
+
+    def test_non_utf8_file_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"eta": 0.1, "x": "\xff"}')
+        code = main(["--config", str(path), "--out", str(tmp_path), "--mode", "sweep"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: configuration is not UTF-8 text: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "sweep.csv").exists()

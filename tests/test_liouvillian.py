@@ -210,6 +210,77 @@ class TestSteadyState:
                     system.basis, dense_oracle.summed_rates(cavity_only)))
 
 
+def cascade_jumps(cavity, energies):
+    """Expected number of cavity jumps from each level down to one with none left."""
+    total = cavity.sum(axis=0)
+    jumps = np.zeros(len(energies))
+    for j in np.argsort(energies, kind="stable"):  # cavity jumps only go down
+        if total[j] > 0:
+            jumps[j] = 1.0 + cavity[:, j] @ jumps / total[j]
+    return jumps
+
+
+class TestBoundPhotonIdentity:
+    """At omega_G the cavity emits <n>_G = <G|a^dagger a|G> photons per electron.
+
+    F is the total cavity flux, I the current and x = gamma_in/gamma_cav.
+    Give each level a photon count psi: m on |s,m>, and on a one-electron
+    level <n>_G plus L, its expected number of cavity jumps down to |G>.
+    In the steady state the flux-weighted change of psi over all jumps is
+    zero.  Cavity jumps lower psi by one each (on the one-electron levels in
+    expectation), and an extraction from a level with <n> = psi leaves it
+    unchanged on average, since it lands on |s,m> with the level's photon
+    weights.  So F - I <n>_G is the sum over injections |s,m> -> |j> of
+    their flux times (L_j - m), plus extractions from levels other than
+    |G>, which are populated only at order x and so add order x^2.
+
+    Injection out of |s,m> is at most 2 gamma_in (its weights into each of
+    the two parity chains sum to one), and m gamma_cav p_{s,m} is at most
+    the extraction flux that lands on rungs >= m, the only feed of those
+    rungs.  If every injection from |s,m> moves at most m photons,
+    |L_j - m| <= m, the sum over rungs gives |F - I <n>_G| <= 2 x I <n>_G:
+    |K| <= 2 in F / (I <n>_G) - 1 = K x.  The premise is checked below:
+    the gate keeps E_j <= mu + m omega_c, and the test fails if some
+    cascade from there still takes more than 2m jumps.  The order-x^2
+    remainder carries one more factor x times a photon count of at most
+    n_max, which the bound allows as the factor (1 + n_max x).
+    """
+
+    N_MAX = 16
+
+    def deviation(self, eta, **rates):
+        system = build_system(SystemParams(eta=eta, **rates), n_max=self.N_MAX,
+                              mu_mode="omega_G")
+        channels, p = system.channels, system.populations
+        flux = channels.cavity.sum(axis=0) @ p
+        current = channels.electron_out.sum(axis=0) @ p
+        bound_photons = dense_oracle.ground_photon_number(system.basis, system.basis.space)
+        return system, flux / (current * bound_photons) - 1.0
+
+    @pytest.mark.parametrize("eta", [0.02, 0.05, 0.1, 0.3, 0.6, 0.8, 1.0])
+    def test_flux_per_electron_is_bound_photons(self, eta):
+        system, deviation = self.deviation(eta)
+        basis, channels = system.basis, system.channels
+        jumps = cascade_jumps(channels.cavity, channels.energies)
+        resting = np.flatnonzero((channels.cavity.sum(axis=0) == 0) & (basis.sector == 1))
+        assert resting.tolist() == [basis.index_ground]
+        rung = np.zeros(basis.dim)
+        rung[list(basis.s_levels)] = np.arange(basis.space.n_photon)
+        to, source = np.nonzero(channels.electron_in)
+        assert np.all(np.abs(jumps[to] - rung[source]) <= rung[source] + 1e-9)
+        x = system.params.gamma_in / system.params.gamma_cav
+        assert abs(deviation) <= 2 * x * (1 + self.N_MAX * x)
+
+    # Below eta 0.3, |K| < 0.03 and the order-x^2 remainder is not small
+    # against K x, so the linear law is checked only where K is large.
+    @pytest.mark.parametrize("eta", [0.6, 1.0])
+    def test_deviation_scales_with_gamma_over_gamma_cav(self, eta):
+        system, deviation = self.deviation(eta)
+        _, smaller = self.deviation(eta, gamma_cav=10 * system.params.gamma_cav)
+        x = system.params.gamma_in / system.params.gamma_cav
+        assert deviation / smaller == approx(10.0, rel=2 * self.N_MAX * x)
+
+
 class TestSpectralStructure:
     def test_contraction_spectrum(self, low_bias_system, dense_generator):
         evals = np.linalg.eigvals(dense_generator(low_bias_system))

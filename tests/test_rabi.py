@@ -3,15 +3,9 @@ import pytest
 from pytest import approx
 
 import dense_oracle
-from dense_oracle import basis_state, number_electron, number_photon, parity
+from dense_oracle import basis_state, ground_photon_number, number_electron, parity
 from electrolum.hilbert import ModelSpace, SystemParams
 from electrolum.rabi import dressed_basis, hamiltonian
-
-
-def ground_photon_number(basis, space) -> float:
-    """<G| a^dagger a |G>: bound photons in the dressed ground state."""
-    g = basis.states[:, basis.index_ground]
-    return float(np.real(g.conj() @ number_photon(space) @ g))
 
 
 def jc_reference(params: SystemParams, space):

@@ -122,12 +122,15 @@ class TestNumpyFreeFrontDoor:
         assert imported_numpy(result.stderr) == []
         assert {"dataclasses", "inspect"}.isdisjoint(imported(result.stderr))
 
-    # the last is valid, but a sweep needs its sweep block
+    # the fourth is valid, but a sweep needs its sweep block; the last is not UTF-8
     @pytest.mark.parametrize("payload", [{"eta": 0.1, "typo": 1}, {"eta": -1.0}, "not json",
-                                         {"eta": 0.1}])
+                                         {"eta": 0.1}, b'{"eta": 0.1, "x": "\xff"}'])
     def test_configuration_error_loads_no_numpy(self, payload, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        if isinstance(payload, bytes):
+            path.write_bytes(payload)
+        else:
+            path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         result = python("-X", "importtime", "-m", "electrolum", "--config", path,
                         "--out", tmp_path, "--mode", "sweep")
         assert result.returncode == 1
