@@ -21,8 +21,8 @@ reversed every other round.  The record has two parts per tree:
 * ``layers``: one :func:`layer_worker` per round, which times each layer
   of a system build ``REPEATS`` times in process, for every n_max of
   ``N_MAX``, eta of ``ETAS`` and both symbolic bias points, and keeps
-  the best.  The record holds the best over all rounds and the median of
-  the per-round bests; ``identical_results`` says whether every worker
+  the best.  The record holds the best over all rounds and the median
+  and quartiles of the per-round bests; ``identical_results`` says whether every worker
   wrote the same spectrum and window fluxes, bit for bit.
 
 Each part has its own rounds and BLAS thread count (module constants),
@@ -219,7 +219,7 @@ def layer_worker() -> None:
 
 
 def layers(trees):
-    """(per tree and case, each layer's best and median time; identical_results)."""
+    """(per tree and case, each layer's best, quartiles and median time; identical_results)."""
     runs = {label: [] for label in trees}
     for label in alternated(list(trees), LAYER_ROUNDS):
         _, stdout, _ = run([trees[label], HERE], LAYER_BLAS_THREADS,
@@ -231,8 +231,10 @@ def layers(trees):
             results[label][case] = {}
             for layer in LAYERS:
                 samples = [r["times"][case][layer] for r in per_round]
+                q1, _, q3 = statistics.quantiles(samples, n=4)
                 results[label][case][layer] = {"best_s": min(samples),
-                                               "median_s": statistics.median(samples)}
+                                               "median_s": statistics.median(samples),
+                                               "q1_s": q1, "q3_s": q3}
     outputs = [r["results"] for per_round in runs.values() for r in per_round]
     return results, all(r == outputs[0] for r in outputs)
 

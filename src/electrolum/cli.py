@@ -12,9 +12,9 @@ Two modes, selected with ``--mode``:
 The configuration is a single JSON file; unknown keys are rejected with
 their full path so typos cannot silently fall back to defaults.  A
 missing key takes the default of the module that owns it: the physical
-constants from ``SystemParams``, ``n_max`` and ``grid`` from ``settings``
-(``DEFAULT_N_MAX``, ``DEFAULT_GRID``), the flux-window scale from
-``spectrum``; only ``mu_mode``, ``outputs`` and ``methods`` default here
+constants from ``SystemParams``, ``n_max``, ``grid`` and the flux-window
+scale from ``settings`` (``DEFAULT_N_MAX``, ``DEFAULT_GRID``,
+``WINDOW_SCALE``); only ``mu_mode``, ``outputs`` and ``methods`` default here
 (``DEFAULTS``).  Output files carry '#'-prefixed metadata lines
 (resolved parameters, package version) followed by a CSV header and
 full-precision rows, so a rerun with the same configuration is
@@ -25,15 +25,13 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 Validation, ``--help`` and every configuration error import only the
 standard library, ``hilbert`` and ``settings``, and of the standard
 library neither ``inspect`` (the records are ``typing.NamedTuple``s) nor,
-for validation alone, ``argparse``, which only :func:`main` imports.  The
-numerical modules (and numpy) are bound into this module's namespace
-when a run first needs them (:func:`_bind_run_path`), so a run still
-pays for them.
+for validation alone, ``argparse``, which only :func:`main` imports.  Each
+run function imports the numerical modules (and numpy) where it calls
+them, so only a run pays for them.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
@@ -44,43 +42,23 @@ from typing import NamedTuple
 
 from . import __version__
 from .hilbert import SystemParams
-from .settings import DEFAULT_GRID, DEFAULT_N_MAX, MU_MODES
-
-# The run path's names, bound into this module by _bind_run_path on first
-# use.  integrate_peak is unused here: perfbench/traced.py wraps it at this
-# lookup name; WINDOW_SCALE is re-exported for perfbench/workloads.py.
-_RUN_PATH = ("np", "ratemodel", "gate_open", "LinalgError", "build_system", "WINDOW_SCALE",
-             "integrate_peak", "emission_line_centers", "line_windows", "window_capture",
-             "window_fluxes")
+from .settings import DEFAULT_GRID, DEFAULT_N_MAX, MU_MODES, WINDOW_SCALE
 
 
-@functools.cache
-def _bind_run_path():
-    """Import the numerical modules and bind the ``_RUN_PATH`` names here, once.
-
-    A name that is already bound keeps its value, so a wrapper set on
-    this module before the first run (as perfbench/traced.py does) is the
-    one the run calls.
-    """
-    import numpy
-
-    from . import dissipators, linalg, pipeline, ratemodel, spectrum
-
-    values = {"np": numpy, "ratemodel": ratemodel, "gate_open": dissipators.gate_open,
-              "LinalgError": linalg.LinalgError, "build_system": pipeline.build_system}
-    # the others are spectrum's
-    values.update((name, getattr(spectrum, name)) for name in _RUN_PATH if name not in values)
-    for name, value in values.items():
-        globals().setdefault(name, value)
+# perfbench/traced.py wraps these here; the run calls build_system and line_windows here
+def build_system(*args, **kwargs):
+    from . import pipeline
+    return pipeline.build_system(*args, **kwargs)
 
 
-def __getattr__(name):
-    # only the run path's names: a catch-all would answer the import
-    # system's probe for __path__ (``from .cli import main``) and load numpy
-    if name not in _RUN_PATH:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_run_path()
-    return globals()[name]
+def line_windows(*args, **kwargs):
+    from . import spectrum
+    return spectrum.line_windows(*args, **kwargs)
+
+
+def integrate_peak(*args, **kwargs):
+    from . import spectrum
+    return spectrum.integrate_peak(*args, **kwargs)
 
 
 # defaults of the settings that no other module owns
@@ -119,7 +97,10 @@ class RunConfig(NamedTuple):
 def _require_number(value, path, minimum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
     if not math.isfinite(x):
         raise ConfigError(f"{path}: must be finite, got {value!r}")
     if minimum is not None and x < minimum:
@@ -259,10 +240,10 @@ def load_config(path) -> RunConfig:
         raw = json.loads(Path(path).read_text())
     except OSError as err:
         raise ConfigError(f"cannot read configuration file: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"configuration is not valid JSON: {err}") from err
     except UnicodeDecodeError as err:
         raise ConfigError(f"configuration is not UTF-8 text: {err}") from err
+    except ValueError as err:  # JSONDecodeError, or an integer past the digit limit
+        raise ConfigError(f"configuration is not valid JSON: {err}") from err
     return validate_config(raw)
 
 
@@ -302,7 +283,10 @@ def run_spectrum(config: RunConfig, out_dir) -> Path:
     Warns, naming each line, when a reported line's center lies outside
     the grid: the table then has no peak for that line.
     """
-    _bind_run_path()
+    import numpy as np
+
+    from .spectrum import emission_line_centers
+
     system = build_system(config.params(), n_max=config.n_max, mu_mode=config.mu_mode)
     gmin, gmax, points = config.grid
     spec = system.emission_spectrum(np.linspace(gmin, gmax, points))
@@ -331,7 +315,8 @@ def window_line_fluxes(system) -> dict:
     counted, as a measured spectrum counts them; ``system.line_fluxes()``
     gives the exact channel-resolved fluxes.
     """
-    _bind_run_path()
+    from .spectrum import window_capture, window_fluxes
+
     windows = line_windows(system.basis, system.channels)
     fluxes = window_fluxes(system, windows)
     return {name: flux / window_capture(WINDOW_SCALE) for name, flux in fluxes.items()}
@@ -343,6 +328,9 @@ def _analytic_fluxes(system):
     A system that carries no current is dark, so every closed form reads
     0 there: the gate of |s,0> -> |G> is shut, or either electron rate is 0.
     """
+    from . import ratemodel
+    from .dissipators import gate_open
+
     p, basis = system.params, system.basis
     if not (gate_open(p.mu - basis.omega_ground) and p.gamma_in > 0 and p.gamma_out > 0):
         return 0.0, 0.0, 0.0
@@ -368,7 +356,8 @@ def run_sweep(config: RunConfig, out_dir) -> Path:
     """Integrated line fluxes against the swept variable, one row per value."""
     if config.sweep is None:
         raise ConfigError("sweep.values: a sweep requires sweep.variable and sweep.values")
-    _bind_run_path()
+    from .spectrum import window_capture
+
     variable, values = config.sweep
     groups = [(names, fluxes) for key, names, fluxes in _SWEEP_GROUPS if config.methods[key]]
 
@@ -423,10 +412,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 1
-    # LinalgError is bound with the run path, before anything can raise it;
-    # until then the empty tuple matches nothing, so a failed bind (a broken
-    # numpy, an interrupt) propagates as itself
-    except globals().get("LinalgError", ()) as err:
+    # only a loaded linalg raises LinalgError; until then () matches nothing,
+    # so a failed import (a broken numpy, an interrupt) propagates as itself
+    except getattr(sys.modules.get(f"{__package__}.linalg"), "LinalgError", ()) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
     print(path)

@@ -10,3 +10,6 @@ MU_MODES = ("absolute", "omega_G", "omega_G_plus_omega_plus")
 DEFAULT_N_MAX = 8
 # spectrum frequency grid: (min, max, points)
 DEFAULT_GRID = (0.5, 1.5, 4001)
+# line windows span +-WINDOW_SCALE half-widths and capture (2/pi) arctan 5 of
+# each Lorentzian line; the sweep divides its window fluxes by that fraction
+WINDOW_SCALE = 5.0

@@ -50,10 +50,7 @@ import numpy as np
 
 from .liouvillian import build_liouvillian
 from .rabi import DEGENERACY_TOL, DressedBasis
-
-# line windows span +-WINDOW_SCALE half-widths and capture (2/pi) arctan 5 of
-# each Lorentzian line; the sweep divides its window fluxes by that fraction
-WINDOW_SCALE = 5.0
+from .settings import WINDOW_SCALE
 
 
 class _SpectrumFields(NamedTuple):

@@ -491,3 +491,21 @@ class TestMain:
         assert err.startswith("configuration error: configuration is not UTF-8 text: ")
         assert err.count("\n") == 1
         assert not (tmp_path / "sweep.csv").exists()
+
+    # 401 digits overflow a float; past 4300 digits json refuses the literal
+    @pytest.mark.parametrize("text, message", [
+        ('{"eta": 1%s}' % ("0" * 400), "eta: must be finite"),
+        ('{"eta": 0.1, "sweep": {"variable": "mu", "values": [-1%s]}}' % ("0" * 400),
+         "sweep.values[0]: must be finite"),
+        ('{"eta": 0.1, "grid": {"min": 1%s}}' % ("0" * 400), "grid.min: must be finite"),
+        ('{"eta": 1%s}' % ("0" * 4400), "configuration is not valid JSON: "),
+    ], ids=["eta", "sweep_value", "grid_min", "past_digit_limit"])
+    def test_huge_integer_exit_one(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        code = main(["--config", str(path), "--out", str(tmp_path), "--mode", "sweep"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {message}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "sweep.csv").exists()

@@ -1,4 +1,4 @@
-"""What the run path imports, and the lazily bound names it relies on.
+"""What the run path imports, and where it imports it.
 
 scipy costs about a third of a second and tens of megabytes to import,
 more than the physics of a whole CLI run, so a lazy scipy import slipped
@@ -7,13 +7,14 @@ into any production module would quietly undo that.  ``numpy.ma`` costs
 such as ``np.unique`` import it lazily on first call.  numpy itself
 costs about 100 ms, and validating a configuration, ``--help`` and a
 configuration error need none of it: the front door (``electrolum``,
-``electrolum.cli``, ``hilbert`` and ``settings``) imports no numpy, and
-the numerical names load on first use.  The front door also skips two
-standard-library imports: ``dataclasses``, which loads ``inspect``
-(about 15 ms), because the records are ``typing.NamedTuple``s, and, for
-validation alone, ``argparse``, which only ``cli.main`` imports.  Every
-check runs in a fresh interpreter, since this process has long loaded
-numpy.
+``electrolum.cli``, ``hilbert`` and ``settings``) imports no numpy.  The
+package exports its numerical names lazily, and each run function of
+``cli`` imports the numerical modules where it calls them.  The front
+door also skips two standard-library imports: ``dataclasses``, which
+loads ``inspect`` (about 15 ms), because the records are
+``typing.NamedTuple``s, and, for validation alone, ``argparse``, which
+only ``cli.main`` imports.  Every check runs in a fresh interpreter,
+since this process has long loaded numpy.
 """
 
 import ast
@@ -122,9 +123,13 @@ class TestNumpyFreeFrontDoor:
         assert imported_numpy(result.stderr) == []
         assert {"dataclasses", "inspect"}.isdisjoint(imported(result.stderr))
 
-    # the fourth is valid, but a sweep needs its sweep block; the last is not UTF-8
-    @pytest.mark.parametrize("payload", [{"eta": 0.1, "typo": 1}, {"eta": -1.0}, "not json",
-                                         {"eta": 0.1}, b'{"eta": 0.1, "x": "\xff"}'])
+    # the fourth is valid, but a sweep needs its sweep block; the fifth is not
+    # UTF-8; the sixth overflows a float, and the last is past json's digit limit
+    @pytest.mark.parametrize("payload", [
+        {"eta": 0.1, "typo": 1}, {"eta": -1.0}, "not json", {"eta": 0.1},
+        b'{"eta": 0.1, "x": "\xff"}',
+        pytest.param('{"eta": 1%s}' % ("0" * 400), id="float_overflow"),
+        pytest.param('{"eta": 1%s}' % ("0" * 4400), id="past_digit_limit")])
     def test_configuration_error_loads_no_numpy(self, payload, tmp_path):
         path = tmp_path / "bad.json"
         if isinstance(payload, bytes):
@@ -155,9 +160,9 @@ class TestNumpyFreeFrontDoor:
                           if name.split(".")[0] == "dataclasses"]
         assert found == []
 
-    def test_failed_bind_raises_its_own_error(self, small_config, tmp_path):
-        # main's handler for LinalgError, unbound until the run path is,
-        # must not turn numpy's ImportError into a NameError
+    def test_failed_import_raises_its_own_error(self, small_config, tmp_path):
+        # main's handler for LinalgError, which matches nothing until a run
+        # has imported linalg, must not turn numpy's ImportError into another error
         script = """
 import sys
 sys.modules["numpy"] = None  # "import numpy" now raises ImportError
@@ -172,40 +177,34 @@ main(["--config", sys.argv[1], "--out", sys.argv[2], "--mode", "sweep"])
 
 
 class TestLazySurface:
-    @pytest.mark.parametrize("source", ["cli", "owner"])
-    def test_rebound_run_path_names_are_called(self, source, small_config, tmp_path):
+    @pytest.mark.parametrize("mode", ["spectrum", "sweep"])
+    def test_rebound_run_path_names_are_called(self, mode, small_config, tmp_path):
         # perfbench/traced.py replaces cli.build_system and cli.line_windows
-        # before main runs; the sweep must call the replacements.  The
-        # wrapped function is read from cli itself (which binds the run
-        # path) or from its defining module (cli's name still unbound).
+        # before main runs; the run must call the replacements
         script = f"""
 import json, sys
 import electrolum.cli as cli
-owners = {{"build_system": "electrolum.pipeline", "line_windows": "electrolum.spectrum"}}
-calls = dict.fromkeys(owners, 0)
+calls = dict.fromkeys(("build_system", "line_windows"), 0)
 
 def counting(name):
-    if {source!r} == "cli":
-        fn = getattr(cli, name)
-    else:
-        fn = getattr(__import__(owners[name], fromlist=[name]), name)
+    fn = getattr(cli, name)
 
     def wrapper(*args, **kwargs):
         calls[name] += 1
         return fn(*args, **kwargs)
     return wrapper
 
-for name in owners:
+for name in calls:
     setattr(cli, name, counting(name))
 config, out = sys.argv[1:]
-assert cli.main(["--config", config, "--out", out, "--mode", "sweep"]) == 0
+assert cli.main(["--config", config, "--out", out, "--mode", {mode!r}]) == 0
 print(json.dumps(calls))
 """
         result = python("-c", script, small_config, tmp_path)
         assert result.returncode == 0, result.stderr
-        values = len(SMALL_CONFIG["sweep"]["values"])
+        systems = len(SMALL_CONFIG["sweep"]["values"]) if mode == "sweep" else 1
         assert json.loads(result.stdout.splitlines()[-1]) == {
-            "build_system": values, "line_windows": values}
+            "build_system": systems, "line_windows": systems if mode == "sweep" else 0}
 
     @pytest.mark.parametrize("mode", ["spectrum", "sweep"])
     def test_run_functions_work_without_main(self, mode, small_config, tmp_path):
@@ -266,15 +265,12 @@ print("ok")
         script = """
 import sys
 import electrolum
-import electrolum.cli as cli
-for module in (electrolum, cli):
-    try:
-        module.nope
-    except AttributeError as err:
-        assert "nope" in str(err), err
-    else:
-        raise AssertionError(f"{module.__name__}.nope resolved")
-assert not hasattr(cli, "__path__")
+try:
+    electrolum.nope
+except AttributeError as err:
+    assert "nope" in str(err), err
+else:
+    raise AssertionError("electrolum.nope resolved")
 """ + NO_NUMPY
         result = python("-c", script)
         assert result.returncode == 0, result.stderr
