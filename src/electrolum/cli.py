@@ -16,12 +16,16 @@ constants from ``SystemParams``, ``n_max``, ``grid`` and the flux-window
 scale from ``settings`` (``DEFAULT_N_MAX``, ``DEFAULT_GRID``,
 ``WINDOW_SCALE``); only ``mu_mode``, ``outputs`` and ``methods`` default here
 (``DEFAULTS``).  ``n_max`` and ``grid.points`` are capped at
-``settings.MAX_N_MAX`` and ``settings.MAX_GRID_POINTS``.  Output files
+``settings.MAX_N_MAX`` and ``settings.MAX_GRID_POINTS``, and the grid's
+step must be finite and at least ``settings.GRID_STEP_ULPS`` ulps of its
+larger end, so that it stays strictly ascending.  Output files
 carry '#'-prefixed metadata lines (resolved parameters, package version)
 followed by a CSV header and full-precision rows, so a rerun with the
 same configuration is byte-identical and every value reparses exactly.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration error, 2 numerical failure (no
+unique stationary state, arithmetic overflow, or a non-finite value for
+a table, which is then not written).
 
 Validation, ``--help`` and every configuration error import only the
 standard library, ``hilbert`` and ``settings``, and of the standard
@@ -43,8 +47,8 @@ from typing import NamedTuple
 
 from . import LinalgError, __version__, build_system
 from .hilbert import SystemParams
-from .settings import (DEFAULT_GRID, DEFAULT_N_MAX, MAX_GRID_POINTS, MAX_N_MAX, MU_MODES,
-                       WINDOW_SCALE)
+from .settings import (DEFAULT_GRID, DEFAULT_N_MAX, GRID_STEP_ULPS, MAX_GRID_POINTS, MAX_N_MAX,
+                       MU_MODES, WINDOW_SCALE)
 
 
 # perfbench/traced.py wraps cli.build_system (the package's function, imported
@@ -217,8 +221,17 @@ def validate_config(raw: dict) -> RunConfig:
         {"min": _require_number, "max": _require_number,
          "points": lambda value, path: _require_int(value, path, 2, MAX_GRID_POINTS)},
     )
-    if grid["max"] <= grid["min"]:
-        raise ConfigError(f"grid.max: must exceed grid.min, got [{grid['min']}, {grid['max']}]")
+    lo, hi, points = grid["min"], grid["max"], grid["points"]
+    if hi <= lo:
+        raise ConfigError(f"grid.max: must exceed grid.min, got [{lo}, {hi}]")
+    step = (hi - lo) / (points - 1)  # np.linspace's step
+    if step == math.inf:
+        raise ConfigError(f"grid: max - min overflows, got [{lo}, {hi}]")
+    # a subnormal step carries too few bits for settings.GRID_STEP_ULPS to hold
+    least = GRID_STEP_ULPS * max(math.ulp(max(abs(lo), abs(hi))), sys.float_info.min)
+    if step < least:
+        raise ConfigError(f"grid: {points} points in [{lo}, {hi}] are closer than float "
+                          f"resolution allows: step {step:.3g} < {least:.3g}")
 
     outputs = _config_object(raw, "outputs", DEFAULTS["outputs"],
                              dict.fromkeys(DEFAULTS["outputs"], _require_file_name))
@@ -229,7 +242,7 @@ def validate_config(raw: dict) -> RunConfig:
         base=SystemParams(eta=eta, **constants),
         n_max=n_max,
         mu_mode=mu_mode,
-        grid=(grid["min"], grid["max"], grid["points"]),
+        grid=(lo, hi, points),
         sweep=sweep,
         outputs=outputs,
         methods=methods,
@@ -257,8 +270,17 @@ def _write_table(config: RunConfig, mode: str, out_dir, notes, columns, rows) ->
 
     '#' lines carry the package version, the mode, the resolved constants
     (less a swept one, which has its own column), n_max, mu_mode and the
-    ``notes``; then come the CSV header and one full-precision line per row.
+    ``notes``; then come the CSV header and one full-precision line per
+    row.  A non-finite value raises ``LinalgError`` before anything is
+    written.
     """
+    import numpy as np
+
+    table = np.asarray(rows, dtype=float)
+    finite = np.isfinite(table).all(axis=0)
+    if not finite.all():
+        bad = [name for name, ok in zip(columns, finite) if not ok]
+        raise LinalgError(f"non-finite values in {', '.join(bad)}; no {mode} table written")
     settings = {name: _format(getattr(config.base, name)) for name in
                 ("eta", "gamma_in", "gamma_out", "gamma_cav", "omega_e", "omega_s")}
     settings.update(n_max=config.n_max, mu_mode=config.mu_mode)
@@ -266,13 +288,14 @@ def _write_table(config: RunConfig, mode: str, out_dir, notes, columns, rows) ->
         settings.pop(config.sweep[0], None)
     meta = [f"electrolum {__version__}", f"mode = {mode}"]
     meta += [f"{name} = {value}" for name, value in settings.items()] + notes
-    lines = [f"# {line}" for line in meta] + [",".join(columns)]
-    lines += [",".join(_format(x) for x in row) for row in rows]
     out_dir = Path(out_dir)
     path = out_dir / config.outputs[mode]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(lines) + "\n")
+        with path.open("w") as file:  # row by row: a joined table costs several times its size
+            file.writelines(f"# {line}\n" for line in meta)
+            file.write(",".join(columns) + "\n")
+            file.writelines(",".join(map(_format, row)) + "\n" for row in table)
     except OSError as err:
         raise ConfigError(f"cannot write {path}: {err}") from err
     return path
@@ -303,7 +326,7 @@ def run_spectrum(config: RunConfig, out_dir) -> Path:
         ("mu", system.params.mu), ("omega_G", basis.omega_ground),
         ("omega_minus", basis.omega_minus), ("omega_plus", basis.omega_plus))]
     return _write_table(config, "spectrum", out_dir, notes, ("omega", "S"),
-                        zip(spec.omegas, spec.values))
+                        np.column_stack((spec.omegas, spec.values)))
 
 
 def window_line_fluxes(system) -> dict:
@@ -415,6 +438,9 @@ def main(argv=None) -> int:
         return 1
     except LinalgError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
+        return 2
+    except OverflowError as err:  # Python float arithmetic past the float range
+        print(f"numerical failure: arithmetic overflow: {err}", file=sys.stderr)
         return 2
     print(path)
     return 0

@@ -14,8 +14,11 @@ MAX_N_MAX = 256
 # spectrum frequency grid: (min, max, points)
 DEFAULT_GRID = (0.5, 1.5, 4001)
 # most grid points a configuration may ask for: one spectrum run at 10**6
-# points (eta 0.1, n_max 8) peaks at 234 MB RSS and writes a 42 MB table
+# points (eta 0.1, n_max 8) peaks at 70 MB RSS and writes a 42 MB table
 MAX_GRID_POINTS = 10**6
+# smallest grid step, in ulps of the larger |end|: np.linspace's rounding
+# shrinks no step by 6 ulps or more, so the grid stays strictly ascending
+GRID_STEP_ULPS = 8
 # line windows span +-WINDOW_SCALE half-widths and capture (2/pi) arctan 5 of
 # each Lorentzian line; the sweep divides its window fluxes by that fraction
 WINDOW_SCALE = 5.0

@@ -1,9 +1,13 @@
 import itertools
 import json
+import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 from channel_rows import find_channel
@@ -16,10 +20,12 @@ from electrolum.cli import (
     run_sweep,
     validate_config,
 )
-from electrolum.settings import DEFAULT_GRID, DEFAULT_N_MAX, MAX_GRID_POINTS, MAX_N_MAX
+from electrolum.settings import (DEFAULT_GRID, DEFAULT_N_MAX, GRID_STEP_ULPS, MAX_GRID_POINTS,
+                                 MAX_N_MAX)
 from electrolum.rabi import dressed_basis, hamiltonian
 from electrolum.ratemodel import analytic_el
 from electrolum.spectrum import line_windows, window_capture
+from test_run_path import python
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -46,52 +52,9 @@ class TestValidateConfig:
         assert config.n_max == DEFAULT_N_MAX
         assert config.grid == DEFAULT_GRID
 
-    @pytest.mark.parametrize("mu_mode", ["omega_G", "omega_G_plus_omega_plus"])
-    def test_mu_sweep_rejects_symbolic_mu_mode(self, mu_mode):
-        with pytest.raises(ConfigError, match="mu_mode"):
-            validate_config({"eta": 0.1, "mu_mode": mu_mode,
-                             "sweep": {"variable": "mu", "values": [0.1]}})
-
-    def test_mu_sweep_rejects_mu(self):
-        with pytest.raises(ConfigError, match="^mu: not allowed"):
-            validate_config({"eta": 0.1, "mu_mode": "absolute", "mu": 0.0,
-                             "sweep": {"variable": "mu", "values": [0.1]}})
-
-    def test_unknown_key_rejected_with_name(self):
-        with pytest.raises(ConfigError, match="unknown_key"):
-            validate_config({"eta": 0.1, "unknown_key": 3})
-
-    def test_nested_unknown_key_has_path(self):
-        with pytest.raises(ConfigError, match="grid.step"):
-            validate_config({"eta": 0.1, "grid": {"step": 0.1}})
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ConfigError, match="gamma_cav"):
-            validate_config({"eta": 0.1, "gamma_cav": -1})
-
-    def test_coupling_required(self):
-        with pytest.raises(ConfigError, match="eta"):
-            validate_config({})
-
-    @pytest.mark.parametrize("raw", [{"rabi": 0.1}, {"eta": 0.1, "rabi": 0.1}])
-    def test_rabi_key_is_unknown(self, raw):
-        # eta is the coupling's only name
-        with pytest.raises(ConfigError, match="^unknown configuration key: rabi$"):
-            validate_config(raw)
-
-    def test_absolute_mode_requires_mu(self):
-        with pytest.raises(ConfigError, match="mu"):
-            validate_config({"eta": 0.1, "mu_mode": "absolute"})
+    def test_absolute_mode_takes_mu(self):
         config = validate_config({"eta": 0.1, "mu_mode": "absolute", "mu": -0.01})
         assert config.base.mu == approx(-0.01)
-
-    def test_mu_forbidden_for_symbolic_modes(self):
-        with pytest.raises(ConfigError, match="mu"):
-            validate_config({"eta": 0.1, "mu": 0.3})
-
-    def test_empty_sweep_rejected(self):
-        with pytest.raises(ConfigError, match=r"sweep\.values"):
-            validate_config({"eta": 0.1, "sweep": {"variable": "eta", "values": []}})
 
     def test_sweep_values_sorted(self):
         config = validate_config(
@@ -112,22 +75,32 @@ class TestValidateConfig:
         config = validate_config({"eta": 0.1, "outputs": {"sweep": name}})
         assert config.outputs == {"spectrum": "spectrum.csv", "sweep": name}
 
-    def test_grid_validation(self):
-        with pytest.raises(ConfigError, match="grid.points"):
-            validate_config({"eta": 0.1, "grid": {"points": 1}})
-        with pytest.raises(ConfigError, match="grid.max"):
-            validate_config({"eta": 0.1, "grid": {"min": 1.0, "max": 0.5}})
-
     def test_integer_caps(self):
-        # every cutoff and grid the repo uses stays valid
+        # every cutoff and grid the repo uses stays valid; one past each cap is a REFUSALS row
         config = validate_config({"eta": 0.1, "n_max": MAX_N_MAX,
                                   "grid": {"points": MAX_GRID_POINTS}})
         assert (config.n_max, config.grid[2]) == (MAX_N_MAX, MAX_GRID_POINTS)
         assert MAX_N_MAX >= 256 and MAX_GRID_POINTS >= DEFAULT_GRID[2]
-        with pytest.raises(ConfigError, match=r"^n_max: expected an integer in \[1, "):
-            validate_config({"eta": 0.1, "n_max": 10**9})
-        with pytest.raises(ConfigError, match=r"^grid.points: expected an integer in \[2, "):
-            validate_config({"eta": 0.1, "grid": {"points": 10**15}})
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.one_of(st.floats(-1e300, 1e300), st.floats(-1e-305, 1e-305)),
+           points=st.integers(2, 5000), offset=st.floats(-1.0, 1.0))
+    def test_every_accepted_grid_ascends(self, lo, points, offset):
+        # grids within one ulp per step of the GRID_STEP_ULPS bound, in the
+        # normal and the subnormal range, where rounding is tightest
+        hi = lo + (GRID_STEP_ULPS + offset) * (points - 1) * math.ulp(lo)
+        try:
+            config = validate_config({"eta": 0.1, "grid": {"min": lo, "max": hi,
+                                                           "points": points}})
+        except ConfigError:
+            return
+        assert np.all(np.diff(np.linspace(*config.grid)) > 0)
+
+    def test_grid_step_bound(self):
+        # a step of exactly GRID_STEP_ULPS ulps is accepted; one ulp less is a REFUSALS row
+        end = 1.0 + 2 * GRID_STEP_ULPS * math.ulp(1.0)
+        grid = validate_config({"eta": 0.1, "grid": {"min": 1.0, "max": end, "points": 3}}).grid
+        assert grid == (1.0, end, 3)
 
 
 @pytest.fixture(scope="module")
@@ -413,62 +386,6 @@ class TestMain:
         assert out.endswith("spectrum.csv")
         assert (tmp_path / "spectrum.csv").exists()
 
-    def test_config_error_exit_one(self, tmp_path, capsys):
-        config_path = write_config(tmp_path, {"eta": 0.1, "bogus": 1})
-        code = main(["--config", str(config_path), "--out", str(tmp_path),
-                     "--mode", "spectrum"])
-        assert code == 1
-        assert "bogus" in capsys.readouterr().err
-
-    def test_numerical_failure_exit_two(self, tmp_path, capsys):
-        # no electron exchange at all: both sector grounds are stationary
-        # and the steady state is ambiguous
-        config_path = write_config(tmp_path, {
-            "eta": 0.1, "gamma": 0.0, "n_max": 2,
-            "grid": {"min": 0.9, "max": 1.1, "points": 11},
-        })
-        code = main(["--config", str(config_path), "--out", str(tmp_path),
-                     "--mode", "spectrum"])
-        assert code == 2
-        assert "numerical failure" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("mode", ["spectrum", "sweep"])
-    def test_zero_cavity_rate_exit_one(self, tmp_path, capsys, mode):
-        # the closed forms divide by gamma_cav, and the default sweep has them
-        config_path = write_config(tmp_path, {
-            "eta": 0.1, "gamma_cav": 0, "n_max": 2,
-            "sweep": {"variable": "eta", "values": [0.1]},
-        })
-        code = main(["--config", str(config_path), "--out", str(tmp_path), "--mode", mode])
-        assert code == 1
-        assert "configuration error: gamma_cav: must be > 0" in capsys.readouterr().err
-        assert not list(tmp_path.glob("*.csv"))
-
-    def test_rabi_config_exit_one(self, tmp_path, capsys):
-        config_path = write_config(tmp_path, {"rabi": 0.1})
-        code = main(["--config", str(config_path), "--out", str(tmp_path),
-                     "--mode", "spectrum"])
-        assert code == 1
-        assert "unknown configuration key: rabi" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("name", ["sub/x.csv", ".", "..", "", "ABSOLUTE"])
-    def test_output_name_with_a_directory_part_exit_one(self, tmp_path, capsys, name):
-        # the table goes inside --out: a path there would crash or escape it
-        elsewhere = tmp_path / "elsewhere"
-        elsewhere.mkdir()
-        if name == "ABSOLUTE":
-            name = str(elsewhere / "x.csv")
-        out = tmp_path / "out"
-        config_path = write_config(tmp_path, {
-            "eta": 0.1, "n_max": 2, "sweep": {"variable": "eta", "values": [0.1]},
-            "outputs": {"sweep": name},
-        })
-        code = main(["--config", str(config_path), "--out", str(out), "--mode", "sweep"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error: outputs.sweep: expected a bare file name")
-        assert not out.exists() and not list(elsewhere.iterdir())
-
     @pytest.mark.parametrize("blocker", ["table_is_a_directory", "out_is_a_file"])
     def test_unwritable_table_exit_one(self, tmp_path, capsys, blocker):
         # a table that cannot be written is a configuration error naming the
@@ -488,50 +405,148 @@ class TestMain:
         assert err.startswith(f"configuration error: cannot write {out / 'x'}: ")
         assert err.count("\n") == 1
 
-    # one past each cap: refused before the run allocates anything
-    @pytest.mark.parametrize("payload, message", [
-        ({"n_max": MAX_N_MAX + 1}, "n_max"),
-        ({"grid": {"points": MAX_GRID_POINTS + 1}}, "grid.points"),
-    ], ids=["n_max", "grid_points"])
-    def test_integer_past_its_cap_exit_one(self, tmp_path, capsys, payload, message):
-        config_path = write_config(tmp_path, {"eta": 0.1, **payload})
-        code = main(["--config", str(config_path), "--out", str(tmp_path),
-                     "--mode", "spectrum"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"configuration error: {message}: expected an integer in [")
-        assert err.count("\n") == 1
-        assert not list(tmp_path.glob("*.csv"))
 
-    def test_missing_file_exit_one(self, tmp_path, capsys):
-        code = main(["--config", str(tmp_path / "absent.json"),
-                     "--out", str(tmp_path), "--mode", "spectrum"])
-        assert code == 1
+class Refusal(NamedTuple):
+    """A configuration the command line refuses, and how it says so."""
 
-    def test_non_utf8_file_exit_one(self, tmp_path, capsys):
-        path = tmp_path / "config.json"
-        path.write_bytes(b'{"eta": 0.1, "x": "\xff"}')
-        code = main(["--config", str(path), "--out", str(tmp_path), "--mode", "sweep"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error: configuration is not UTF-8 text: ")
-        assert err.count("\n") == 1
-        assert not (tmp_path / "sweep.csv").exists()
+    id: str
+    content: object  # the --config file: JSON of a dict, a str, bytes, or None for no file
+    mode: str
+    code: int  # 1 configuration error, 2 numerical failure
+    message: str  # start of stderr after "<kind>: "; a final newline pins the whole line
 
-    # 401 digits overflow a float; past 4300 digits json refuses the literal
-    @pytest.mark.parametrize("text, message", [
-        ('{"eta": 1%s}' % ("0" * 400), "eta: must be finite"),
-        ('{"eta": 0.1, "sweep": {"variable": "mu", "values": [-1%s]}}' % ("0" * 400),
-         "sweep.values[0]: must be finite"),
-        ('{"eta": 0.1, "grid": {"min": 1%s}}' % ("0" * 400), "grid.min: must be finite"),
-        ('{"eta": 1%s}' % ("0" * 4400), "configuration is not valid JSON: "),
-    ], ids=["eta", "sweep_value", "grid_min", "past_digit_limit"])
-    def test_huge_integer_exit_one(self, tmp_path, capsys, text, message):
-        path = tmp_path / "config.json"
-        path.write_text(text)
-        code = main(["--config", str(path), "--out", str(tmp_path), "--mode", "sweep"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"configuration error: {message}")
-        assert err.count("\n") == 1
-        assert not (tmp_path / "sweep.csv").exists()
+
+SWEEP = {"variable": "eta", "values": [0.1]}
+MU_SWEEP = {"variable": "mu", "values": [0.1]}
+# stands for the test's directory in a configuration, so that a table
+# written to an absolute path would land where the check looks
+TEST_DIR = "@TEST_DIR@"
+BIG = "1" + "0" * 400  # overflows a float
+PAST_DIGIT_LIMIT = "1" + "0" * 4400  # json refuses the literal
+
+REFUSALS = [
+    Refusal("unknown_key", {"eta": 0.1, "unknown_key": 3}, "spectrum", 1,
+            "unknown configuration key: unknown_key\n"),
+    Refusal("nested_unknown_key", {"eta": 0.1, "grid": {"step": 0.1}}, "spectrum", 1,
+            "unknown configuration key: grid.step\n"),
+    # eta is the coupling's only name
+    Refusal("rabi", {"rabi": 0.1}, "spectrum", 1, "unknown configuration key: rabi\n"),
+    Refusal("rabi_with_eta", {"eta": 0.1, "rabi": 0.1}, "spectrum", 1,
+            "unknown configuration key: rabi\n"),
+    Refusal("root_not_object", "[0.1]", "sweep", 1,
+            "configuration root must be a JSON object\n"),
+    Refusal("eta_missing", {}, "spectrum", 1, "eta: required"),
+    Refusal("eta_negative", {"eta": -1.0}, "sweep", 1, "eta: must be >= 0"),
+    Refusal("gamma_cav_negative", {"eta": 0.1, "gamma_cav": -1}, "spectrum", 1,
+            "gamma_cav: must be >= 0"),
+    # the closed forms divide by gamma_cav, and the default sweep has them
+    *[Refusal(f"gamma_cav_zero_{mode}",
+              {"eta": 0.1, "gamma_cav": 0, "n_max": 2, "sweep": SWEEP}, mode, 1,
+              "gamma_cav: must be > 0") for mode in ("spectrum", "sweep")],
+    # one past each cap, and far past it: refused before the run allocates anything
+    *[Refusal(f"n_max_{n_max}", {"eta": 0.1, "n_max": n_max}, "spectrum", 1,
+              "n_max: expected an integer in [1, ") for n_max in (MAX_N_MAX + 1, 10**9)],
+    *[Refusal(f"grid_points_{points}", {"eta": 0.1, "grid": {"points": points}}, "spectrum", 1,
+              "grid.points: expected an integer in [2, ")
+      for points in (1, MAX_GRID_POINTS + 1, 10**15)],
+    Refusal("grid_max_below_min", {"eta": 0.1, "grid": {"min": 1.0, "max": 0.5}}, "spectrum", 1,
+            "grid.max: must exceed grid.min"),
+    # np.linspace of these grids is NaN, or not strictly ascending
+    Refusal("grid_span_overflow", {"eta": 0.1, "grid": {"min": -1e308, "max": 1e308}},
+            "spectrum", 1, "grid: max - min overflows"),
+    Refusal("grid_below_resolution",
+            {"eta": 0.1, "grid": {"min": 1.0, "max": 1.000000000000001, "points": 1000}},
+            "spectrum", 1, "grid: 1000 points in [1.0, 1.000000000000001] are closer than"),
+    Refusal("grid_step_one_ulp_below_bound",
+            {"eta": 0.1, "grid": {"min": 1.0, "points": 3,
+                                  "max": 1.0 + 2 * (GRID_STEP_ULPS - 1) * math.ulp(1.0)}},
+            "spectrum", 1, "grid: 3 points in [1.0, "),
+    Refusal("mu_required_when_absolute", {"eta": 0.1, "mu_mode": "absolute"}, "spectrum", 1,
+            "mu: required when mu_mode is 'absolute'"),
+    Refusal("mu_with_symbolic_mu_mode", {"eta": 0.1, "mu": 0.3}, "spectrum", 1,
+            "mu: not allowed with symbolic mu_mode 'omega_G'"),
+    *[Refusal(f"mu_sweep_{mu_mode}", {"eta": 0.1, "mu_mode": mu_mode, "sweep": MU_SWEEP},
+              "sweep", 1, "mu_mode: a mu sweep takes absolute mu values")
+      for mu_mode in ("omega_G", "omega_G_plus_omega_plus")],
+    Refusal("mu_sweep_with_mu",
+            {"eta": 0.1, "mu_mode": "absolute", "mu": 0.0, "sweep": MU_SWEEP}, "sweep", 1,
+            "mu: not allowed with a mu sweep"),
+    Refusal("sweep_empty", {"eta": 0.1, "sweep": {"variable": "eta", "values": []}}, "sweep", 1,
+            "sweep.values: expected a non-empty list"),
+    Refusal("sweep_block_missing", {"eta": 0.1}, "sweep", 1, "sweep.values: a sweep requires"),
+    # the table goes inside --out: a path there would crash or escape it
+    *[Refusal(f"output_name_{tag}",
+              {"eta": 0.1, "n_max": 2, "sweep": SWEEP, "outputs": {"sweep": name}}, "sweep", 1,
+              "outputs.sweep: expected a bare file name")
+      for tag, name in (("sub", "sub/x.csv"), ("dot", "."), ("dotdot", ".."), ("empty", ""),
+                        ("absolute", f"{TEST_DIR}/x.csv"))],
+    Refusal("file_missing", None, "spectrum", 1, "cannot read configuration file: "),
+    Refusal("not_json", "not json", "sweep", 1, "configuration is not valid JSON: "),
+    Refusal("not_utf8", b'{"eta": 0.1, "x": "\xff"}', "sweep", 1,
+            "configuration is not UTF-8 text: "),
+    Refusal("eta_overflows", '{"eta": %s}' % BIG, "sweep", 1, "eta: must be finite"),
+    Refusal("sweep_value_overflows",
+            '{"eta": 0.1, "sweep": {"variable": "mu", "values": [-%s]}}' % BIG, "sweep", 1,
+            "sweep.values[0]: must be finite"),
+    Refusal("grid_min_overflows", '{"eta": 0.1, "grid": {"min": %s}}' % BIG, "sweep", 1,
+            "grid.min: must be finite"),
+    Refusal("past_digit_limit", '{"eta": %s}' % PAST_DIGIT_LIMIT, "sweep", 1,
+            "configuration is not valid JSON: "),
+    # no electron exchange at all: both sector grounds are stationary and
+    # the steady state is ambiguous
+    Refusal("no_electron_exchange",
+            {"eta": 0.1, "gamma": 0.0, "n_max": 2, "grid": {"min": 0.9, "max": 1.1, "points": 11}},
+            "spectrum", 2, "no unique stationary state"),
+    # line widths past 1e154: their squares overflow in the spectrum
+    *[Refusal(f"gamma_cav_{rate:g}", {"eta": 0.1, "gamma_cav": rate, "n_max": 2}, "spectrum", 2,
+              "arithmetic overflow: ") for rate in (1e160, 1e300)],
+    Refusal("gamma_1e300_sweep", {"eta": 0.1, "gamma": 1e300, "n_max": 2, "sweep": SWEEP},
+            "sweep", 2, "non-finite values in f_C_analytic, f_plus_analytic, f_minus_analytic; "
+            "no sweep table written\n"),
+]
+
+
+def refusal_argv(row, directory):
+    """Write the row's configuration file into ``directory``; return the CLI arguments."""
+    config = directory / "config.json"
+    content = row.content
+    if isinstance(content, dict):
+        content = json.dumps(content).replace(TEST_DIR, str(directory))
+    if isinstance(content, str):
+        content = content.encode()
+    if content is not None:
+        config.write_bytes(content)
+    return ["--config", str(config), "--out", str(directory / "out"), "--mode", row.mode]
+
+
+@pytest.mark.parametrize("row", REFUSALS, ids=lambda row: row.id)
+def test_refusal_is_one_line_and_writes_nothing(row, tmp_path, capsys):
+    argv = refusal_argv(row, tmp_path)
+    files = sorted(tmp_path.rglob("*"))
+    assert main(argv) == row.code
+    captured = capsys.readouterr()
+    kind = {1: "configuration error", 2: "numerical failure"}[row.code]
+    assert captured.err.startswith(f"{kind}: {row.message}"), captured.err
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == files
+
+
+def test_configuration_errors_load_no_numpy(tmp_path):
+    # one fresh interpreter for every exit-1 row, since this process has
+    # long loaded numpy; dataclasses would load inspect
+    argvs = []
+    for row in REFUSALS:
+        if row.code == 1:
+            (tmp_path / row.id).mkdir()
+            argvs.append(refusal_argv(row, tmp_path / row.id))
+    script = """
+import json, sys
+from electrolum.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "dataclasses", "inspect"))
+print(json.dumps([codes, loaded]))
+"""
+    result = python("-c", script, json.dumps(argvs))
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[1] * len(argvs), []]
