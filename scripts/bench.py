@@ -27,7 +27,11 @@ reversed every other round.  The record has two parts per tree:
   ``N_MAX``, eta of ``ETAS`` and both symbolic bias points, and keeps
   the best.  The record holds the best over all rounds and the median
   and quartiles of the per-round bests; ``identical_results`` says whether every worker
-  wrote the same spectrum and window fluxes, bit for bit.
+  wrote the same spectrum and window fluxes, bit for bit.  Each round
+  also times the first tree a second time, as an A/A pair, and
+  ``resolution`` holds, per layer, the least and greatest ratio over
+  cases of the two ``best_s`` of that identical code: a ratio between
+  trees inside that range is not a measured difference.
 
 Each part has its own rounds and BLAS thread count (module constants),
 both written to ``--out`` next to the host, Python, numpy, the BLAS
@@ -222,25 +226,42 @@ def layer_worker() -> None:
     json.dump({"times": times, "results": results}, sys.stdout)
 
 
+def layer_summary(per_round) -> dict:
+    """Per case and layer: the best, median and quartiles of the per-round bests."""
+    results = {}
+    for case in per_round[0]["times"]:
+        results[case] = {}
+        for layer in LAYERS:
+            samples = [r["times"][case][layer] for r in per_round]
+            q1, _, q3 = statistics.quantiles(samples, n=4)
+            results[case][layer] = {"best_s": min(samples),
+                                    "median_s": statistics.median(samples),
+                                    "q1_s": q1, "q3_s": q3}
+    return results
+
+
+def resolution(first, again) -> dict:
+    """Per layer, [least, greatest] over cases of the A/A ratio ``again / first`` of best_s."""
+    ratios = {layer: [again[case][layer]["best_s"] / first[case][layer]["best_s"]
+                      for case in first] for layer in LAYERS}
+    return {layer: [min(r), max(r)] for layer, r in ratios.items()}
+
+
 def layers(trees):
-    """(per tree and case, each layer's best, quartiles and median time; identical_results)."""
-    runs = {label: [] for label in trees}
-    for label in alternated(list(trees), LAYER_ROUNDS):
-        _, stdout, _ = run([trees[label], HERE], LAYER_BLAS_THREADS,
-                           ["-c", "import bench; bench.layer_worker()"])
+    """(per tree, :func:`layer_summary`; the A/A :func:`resolution`; identical_results).
+
+    The first tree runs twice a round; the second run, labelled None, is its A/A copy.
+    """
+    first = next(iter(trees))
+    runs = {label: [] for label in [*trees, None]}
+    for label in alternated(list(runs), LAYER_ROUNDS):
+        _, stdout, _ = run([trees[first if label is None else label], HERE],
+                           LAYER_BLAS_THREADS, ["-c", "import bench; bench.layer_worker()"])
         runs[label].append(json.loads(stdout))
-    results = {label: {} for label in trees}
-    for label, per_round in runs.items():
-        for case in per_round[0]["times"]:
-            results[label][case] = {}
-            for layer in LAYERS:
-                samples = [r["times"][case][layer] for r in per_round]
-                q1, _, q3 = statistics.quantiles(samples, n=4)
-                results[label][case][layer] = {"best_s": min(samples),
-                                               "median_s": statistics.median(samples),
-                                               "q1_s": q1, "q3_s": q3}
+    results = {label: layer_summary(per_round) for label, per_round in runs.items()}
     outputs = [r["results"] for per_round in runs.values() for r in per_round]
-    return results, all(r == outputs[0] for r in outputs)
+    return (results, resolution(results[first], results.pop(None)),
+            all(r == outputs[0] for r in outputs))
 
 
 def main(argv=None) -> int:
@@ -264,7 +285,7 @@ def main(argv=None) -> int:
     probe = load("run").SETUP_PROBE
     raw = load("workloads").WORKLOADS["sweep-n8"].make_input(random.Random(SEED))
     startup_results = startup(trees, probe, raw)
-    layer_results, identical = layers(trees)
+    layer_results, layer_resolution, identical = layers(trees)
 
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     doc = {
@@ -293,6 +314,12 @@ def main(argv=None) -> int:
             "mu_mode": list(MODES),
             "grid_points": GRID_POINTS,
             "identical_results": identical,
+            "resolution": {
+                "what": "per layer, [min, max] over cases of best_s of an A/A copy of the "
+                        "first tree over best_s of the first tree, timed in the same rounds",
+                "tree": next(iter(trees)),
+                "best_s_ratio": layer_resolution,
+            },
         },
         "trees": {label: {
             # no absolute path: a tree outside this checkout is known by its label
@@ -308,6 +335,8 @@ def main(argv=None) -> int:
                           for v in layer.values())
         print(f"{label}: setup_s {result['setup_s']['median']:.4f}, sweep_wall_s "
               f"{result['sweep_wall_s']['median']:.4f}, best layer total {layer_total:.3f} s")
+    print("A/A best_s ratio per layer: " + ", ".join(
+        f"{layer} {lo:.2f}-{hi:.2f}" for layer, (lo, hi) in layer_resolution.items()))
     print(f"identical_results: {identical}")
     return 0
 

@@ -41,7 +41,7 @@ import json
 import math
 import sys
 import warnings
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 from pathlib import Path
 from typing import NamedTuple
 
@@ -346,33 +346,13 @@ def window_line_fluxes(system) -> dict:
     return {name: flux / window_capture(WINDOW_SCALE) for name, flux in fluxes.items()}
 
 
-def _analytic_fluxes(system):
-    """Closed-form fluxes in whichever bias regime the gates put the system.
-
-    A system that carries no current is dark, so every closed form reads
-    0 there: the gate of |s,0> -> |G> is shut, or either electron rate is 0.
-    """
-    from . import ratemodel
-    from .dissipators import gate_open
-
-    p, basis = system.params, system.basis
-    if not (gate_open(p.mu - basis.omega_ground) and p.gamma_in > 0 and p.gamma_out > 0):
-        return 0.0, 0.0, 0.0
-    gamma = 0.5 * (p.gamma_in + p.gamma_out)
-    # the same gate that opens the injection channel |s,0> -> |->
-    if gate_open(p.mu - basis.energies[basis.index_minus]):
-        return ratemodel.analytic_el(p.eta, gamma, p.gamma_cav)
-    return ratemodel.analytic_gse(p.eta, gamma, p.gamma_cav)
-
-
-# the sweep's optional column groups in CSV order:
-# (methods key, column names, the columns' values for one system)
+# the sweep's optional column groups in CSV order: (methods key, column names, reader)
 _SWEEP_GROUPS = (
     ("spectrum", ("f_C", "f_plus", "f_minus"),
      lambda system: itemgetter("central", "plus", "minus")(window_line_fluxes(system))),
-    ("analytic", ("f_C_analytic", "f_plus_analytic", "f_minus_analytic"), _analytic_fluxes),
-    ("ratemodel", ("f_C_rate", "f_plus_rate", "f_minus_rate"),
-     lambda system: system.rate_model_fluxes()),
+    ("analytic", ("f_C_analytic", "f_plus_analytic", "f_minus_analytic"),
+     methodcaller("analytic_fluxes")),
+    ("ratemodel", ("f_C_rate", "f_plus_rate", "f_minus_rate"), methodcaller("rate_model_fluxes")),
 )
 
 

@@ -71,8 +71,17 @@ class DressedSystem(NamedTuple):
 
     def rate_model_fluxes(self):
         rates = ratemodel.extract_rates(self.lv, self.basis)
-        pops = ratemodel.rate_steady_state(ratemodel.rate_matrix(rates))
-        return ratemodel.fluxes(pops, rates)
+        return ratemodel.fluxes(ratemodel.rate_steady_state(rates), rates)
+
+    def analytic_fluxes(self):
+        """The closed forms of the bias regime the injection channels set (``ratemodel``)."""
+        p, basis, channels = self.params, self.basis, self.channels
+        injection, ground = channels.electron_in[:, basis.s_levels[0]], basis.index_ground
+        if not (injection[ground] > 0 and channels.electron_out[:, ground].any()):
+            return 0.0, 0.0, 0.0  # no current through |G>
+        polaritons_fed = injection[basis.index_minus] > 0  # conventional EL
+        closed_form = ratemodel.analytic_el if polaritons_fed else ratemodel.analytic_gse
+        return closed_form(p.eta, 0.5 * (p.gamma_in + p.gamma_out), p.gamma_cav)
 
     def emission_spectrum(self, grid) -> spectrum_mod.Spectrum:
         return spectrum_mod.emission_spectrum(self, grid)

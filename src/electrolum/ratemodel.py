@@ -21,7 +21,8 @@ bias regimes with gamma_in = gamma_out = gamma:
         f'_pm = gamma/6 * (1 +- eta/2) * (1 - 2 gamma/gamma_cav)
 
 They are implemented verbatim with no validity guard; they hold for
-eta << 1 and gamma << gamma_cav.
+eta << 1 and gamma << gamma_cav.  ``DressedSystem.analytic_fluxes`` picks
+the regime from the system's injection channels; a dark system reads 0.
 """
 
 from __future__ import annotations
@@ -73,10 +74,10 @@ def rate_matrix(rates: np.ndarray) -> np.ndarray:
     return mat
 
 
-def rate_steady_state(mat: np.ndarray) -> np.ndarray:
-    """Stationary populations in STATE_ORDER; raises on a degenerate kernel."""
+def rate_steady_state(rates: np.ndarray) -> np.ndarray:
+    """Stationary populations in STATE_ORDER of a block or its generator (diagonal unread)."""
     try:
-        return stationary_distribution(mat)
+        return stationary_distribution(rates)
     except NullSpaceError as err:
         raise NullSpaceError(f"rate system has no unique steady state: {err}") from err
 

@@ -12,6 +12,15 @@ reduction, which only applies to real rate generators.
 
 Operators are vectorized by column stacking: vec(rho) stacks the columns
 of rho, so vec(A rho B) = (B^T kron A) vec(rho).
+
+H conserves the electron number, and every jump shifts it on both sides
+of rho alike, so the generator is block diagonal in the charge N_i - N_j
+of the entries rho_ij: 5/9 of the entries have charge 0 and 2/9 each
+have +1 and -1.  ``charge_blocks`` finds the blocks from the bare
+electron number alone, with nothing read from the dressed structure,
+and ``charge_split`` takes them out, asserting that every entry between
+two blocks is exactly 0.0.  The steady state and the resolvent can act
+on the charge-0 block alone.
 """
 
 from __future__ import annotations
@@ -112,6 +121,21 @@ def assemble(h, space) -> np.ndarray:
         sites = space.chain_sites(p)
         m[np.ix_(sites, sites)] = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     return m
+
+
+def charge_blocks(space) -> dict:
+    """Charge q -> indices of vec(rho) whose entries rho_ij have N_i - N_j = q."""
+    n = np.diag(number_electron(space)).real
+    charge = np.subtract.outer(n, n).reshape(-1, order="F")
+    return {q: np.flatnonzero(charge == q) for q in (-1, 0, 1)}
+
+
+def charge_split(mat: np.ndarray, space) -> dict:
+    """Charge q -> the diagonal block of a generator; asserts it has no other entries."""
+    blocks = {q: mat[np.ix_(idx, idx)] for q, idx in charge_blocks(space).items()}
+    assert np.count_nonzero(mat) == sum(map(np.count_nonzero, blocks.values())), \
+        "the generator couples two charge blocks"
+    return blocks
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -254,31 +278,48 @@ def generator(rates) -> np.ndarray:
     return rates - np.diag(rates.sum(axis=0))
 
 
-def steady_state(mat: np.ndarray) -> np.ndarray:
-    """Kernel of the dense generator, Hermitized and trace-normalized."""
+def steady_state(mat: np.ndarray, space=None) -> np.ndarray:
+    """Kernel of the dense generator, Hermitized and trace-normalized.
+
+    With ``space``, ``mat`` is the charge-0 block of the generator
+    (``charge_split``), and rho is 0 outside it.
+    """
     try:
         v = null_vector(mat)
     except NullSpaceError as err:
         raise SteadyStateError(f"no unique stationary state: {err}") from err
+    if space is not None:
+        full = np.zeros(space.dim**2, dtype=complex)
+        full[charge_blocks(space)[0]] = v
+        v = full
     rho = unvec(v)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho)
 
 
 def emission_spectrum(mat: np.ndarray, rho_ss: np.ndarray, x_minus: np.ndarray,
-                      x_plus: np.ndarray, grid, gamma_cav: float) -> np.ndarray:
+                      x_plus: np.ndarray, grid, gamma_cav: float, space=None) -> np.ndarray:
     """S(w) = (gamma_cav/pi) Re Tr[X+ R(w) (X- rho_ss)], R(w) = -(L - i w)^(-1).
 
     The stationary mode is deflated from the source; the generator is
     Schur-factorized once, then each grid point is one triangular solve.
+    With ``space``, ``mat`` is the charge-0 block of the generator, and
+    the source, which keeps the electron number, is asserted to be
+    exactly 0 outside it.
     """
     omegas = np.asarray(grid, dtype=float)
     source = vec(x_minus @ rho_ss)
     source = source - vec(rho_ss) * np.trace(x_minus @ rho_ss)
+    # Tr[X+ M] = vec(X+^T)^T vec(M)
+    probe = vec(x_plus.T)
+    if space is not None:
+        keep = charge_blocks(space)[0]
+        assert not np.delete(source, keep).any(), "X- rho_ss leaves the charge-0 block"
+        source, probe = source[keep], probe[keep]
     t, q = sla.schur(mat, output="complex")
     w = q.conj().T @ source
-    # Tr[X+ M] = vec(X+^T)^T vec(M); fold the Q rotation into the probe
-    probe = q.T @ vec(x_plus.T)
+    # fold the Q rotation into the probe
+    probe = q.T @ probe
     t_diag = t.diagonal().copy()
     values = np.empty_like(omegas)
     for k, omega in enumerate(omegas):

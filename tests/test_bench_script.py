@@ -49,3 +49,17 @@ def test_bad_tree_exits_before_timing(bench, tmp_path):
         bench.main(["--out", str(out), "--tree", "x=/nonexistent"])
     assert exit_info.value.code == 2
     assert not out.exists()
+
+
+def test_resolution_spans_the_aa_ratios(bench):
+    # two cases over three rounds; the copy's best is 1.5 times the first
+    # tree's in case a and 3 times in case b, so each layer's range is [1.5, 3]
+    def rounds(scale):
+        return [{"times": {case: dict.fromkeys(bench.LAYERS, scale[case] * k)
+                           for case in scale}} for k in (3.0, 1.0, 2.0)]
+
+    first = bench.layer_summary(rounds({"a": 1e-3, "b": 2e-3}))
+    again = bench.layer_summary(rounds({"a": 1.5e-3, "b": 6e-3}))
+    assert first["a"]["hamiltonian"] == {"best_s": 1e-3, "median_s": 2e-3,
+                                         "q1_s": 1e-3, "q3_s": 3e-3}
+    assert bench.resolution(first, again) == dict.fromkeys(bench.LAYERS, [1.5, 3.0])

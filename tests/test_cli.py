@@ -1,7 +1,9 @@
+import gc
 import itertools
 import json
 import math
 import warnings
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -385,6 +387,44 @@ class TestMain:
         out = capsys.readouterr().out.strip()
         assert out.endswith("spectrum.csv")
         assert (tmp_path / "spectrum.csv").exists()
+
+    def test_main_freezes_nothing(self, tmp_path):
+        # only the process entry freezes the heap; in-process callers keep
+        # their collector as it was
+        config_path = write_config(tmp_path, {"eta": 0.1, "n_max": 2, "sweep": SWEEP})
+        frozen = gc.get_freeze_count()
+        assert main(["--config", str(config_path), "--out", str(tmp_path),
+                     "--mode", "sweep"]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("mode", ["spectrum", "sweep"])
+    def test_process_entry_writes_what_main_writes(self, tmp_path, mode):
+        config_path = write_config(tmp_path, {
+            "eta": 0.1, "n_max": 2, "grid": {"min": 0.9, "max": 1.1, "points": 51},
+            "sweep": SWEEP, "methods": {"ratemodel": True}})
+
+        def argv(out):
+            return ["--config", str(config_path), "--out", str(tmp_path / out), "--mode", mode]
+
+        result = python("-m", "electrolum", *argv("process"))
+        assert result.returncode == 0, result.stderr
+        assert main(argv("main")) == 0
+        written = [(tmp_path / out / f"{mode}.csv").read_bytes() for out in ("process", "main")]
+        assert written[0] == written[1]
+
+    def test_console_script_is_the_process_entry(self, tmp_path):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"electrolum": "electrolum.__main__:run"}
+        # run returns main's exit code and leaves the heap frozen for exit
+        config_path = write_config(tmp_path, {"eta": 0.1, "n_max": 2, "sweep": SWEEP})
+        script = ("import gc; from electrolum.__main__ import run; "
+                  "assert run() == 0 and gc.get_freeze_count() > 0")
+        result = python("-c", script, "--config", config_path, "--out", tmp_path,
+                        "--mode", "sweep")
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "sweep.csv").is_file()
 
     @pytest.mark.parametrize("blocker", ["table_is_a_directory", "out_is_a_file"])
     def test_unwritable_table_exit_one(self, tmp_path, capsys, blocker):

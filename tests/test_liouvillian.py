@@ -283,7 +283,9 @@ class TestBoundPhotonIdentity:
 
 class TestSpectralStructure:
     def test_contraction_spectrum(self, low_bias_system, dense_generator):
-        evals = np.linalg.eigvals(dense_generator(low_bias_system))
+        blocks = dense_oracle.charge_split(dense_generator(low_bias_system),
+                                           low_bias_system.basis.space)
+        evals = np.concatenate([np.linalg.eigvals(b) for b in blocks.values()])
         assert np.max(evals.real) <= 1e-10
         near_zero = np.sum(np.abs(evals) < 1e-10)
         assert near_zero == 1

@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 
 from electrolum import SystemParams, build_system
 from channel_rows import find_channel
+from electrolum.dissipators import GATE_TOL
 from electrolum.linalg import NullSpaceError
 from electrolum.ratemodel import (
     MINUS,
@@ -294,3 +295,46 @@ class TestGatingTransition:
         _, _, f_m_below = below.rate_model_fluxes()
         _, _, f_m_above = above.rate_model_fluxes()
         assert f_m_above / f_m_below > 10
+
+
+class TestAnalyticReader:
+    """``DressedSystem.analytic_fluxes`` reads its regime off the injection channels."""
+
+    # around each threshold: shut, inside GATE_TOL, round-off away, exact, open
+    OFFSETS = [-1e-6, -5e-10, -2e-16, 0.0, 2e-16, 1e-6]
+
+    @pytest.mark.parametrize("offset", OFFSETS)
+    @pytest.mark.parametrize("level", ["index_ground", "index_minus"])
+    def test_closed_form_at_injection_thresholds(self, level, offset):
+        # mu at E_level + offset: the gate of |s,0> -> level opens within GATE_TOL
+        basis = build_system(SystemParams(eta=0.1), n_max=4, mu_mode="omega_G").basis
+        mu = float(basis.energies[getattr(basis, level)]) + offset
+        system = build_system(SystemParams(eta=0.1, mu=mu), n_max=4, mu_mode="absolute")
+        p, s0 = system.params, basis.s_levels[0]
+        is_open = offset >= -GATE_TOL
+        assert (system.channels.electron_in[getattr(basis, level), s0] > 0) == is_open
+        if level == "index_ground" and not is_open:
+            expected = (0.0, 0.0, 0.0)
+        elif level == "index_minus" and is_open:
+            expected = analytic_el(p.eta, p.gamma_in, p.gamma_cav)
+        else:
+            expected = analytic_gse(p.eta, p.gamma_in, p.gamma_cav)
+        assert system.analytic_fluxes() == expected
+
+    @pytest.mark.parametrize("change, mu_mode", [
+        ({"mu": -0.05}, "absolute"),  # below omega_G: |s,0> -> |G> shut
+        ({"gamma_in": 0.0}, "omega_G"),
+        ({"gamma_out": 0.0}, "omega_G"),
+    ])
+    def test_system_without_current_is_dark(self, change, mu_mode):
+        system = build_system(SystemParams(eta=0.1, **change), n_max=4, mu_mode=mu_mode)
+        channels, basis = system.channels, system.basis
+        ground = basis.index_ground
+        assert not (channels.electron_in[ground, basis.s_levels[0]] > 0
+                    and channels.electron_out[:, ground].any())
+        assert system.analytic_fluxes() == (0.0, 0.0, 0.0)
+
+    def test_mean_electron_rate(self):
+        system = build_system(SystemParams(eta=0.1, gamma_in=1e-6, gamma_out=3e-6), n_max=4,
+                              mu_mode="omega_G_plus_omega_plus")
+        assert system.analytic_fluxes() == analytic_el(0.1, 2e-6, system.params.gamma_cav)

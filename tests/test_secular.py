@@ -1,8 +1,10 @@
 """The secular production path against the dense Lindblad oracle.
 
 Steady state and emission spectrum are compared at several couplings,
-at both symbolic bias points and at two photon cutoffs.  That both
-paths refuse an ambiguous kernel is checked in test_liouvillian.py.
+at both symbolic bias points and at two photon cutoffs, with the dense
+kernel and resolvent taken on the charge-0 block of the generator.
+That both paths refuse an ambiguous kernel is checked in
+test_liouvillian.py.
 """
 
 import numpy as np
@@ -28,15 +30,16 @@ def grid_through_lines(system):
 @pytest.mark.parametrize("eta", [0.02, 0.1, 0.3])
 def test_agrees_with_dense_generator(eta, mode, n_max, dense_generator):
     system = build_system(SystemParams(eta=eta), n_max=n_max, mu_mode=mode)
-    dense = dense_generator(system)
+    space = system.basis.space
+    block = dense_oracle.charge_split(dense_generator(system), space)[0]
 
-    rho_dense = dense_oracle.steady_state(dense)
+    rho_dense = dense_oracle.steady_state(block, space)
     assert np.max(np.abs(system.rho_ss - rho_dense)) <= 1e-12
 
     grid = grid_through_lines(system)
     x_minus, x_plus = system.x_pm
     expected = dense_oracle.emission_spectrum(
-        dense, rho_dense, x_minus, x_plus, grid, system.params.gamma_cav
+        block, rho_dense, x_minus, x_plus, grid, system.params.gamma_cav, space
     )
     values = system.emission_spectrum(grid).values
     assert np.max(np.abs(values - expected)) <= 1e-8 * np.max(expected)
