@@ -9,19 +9,21 @@ Two modes, selected with ``--mode``:
   Each line's window is integrated in closed form, with no frequency
   grid; the configured ``grid`` serves spectrum mode only.
 
-The configuration is a single JSON file; unknown keys are rejected with
-their full path so typos cannot silently fall back to defaults.  A
-missing key takes the default of the module that owns it: the physical
-constants from ``SystemParams``, ``n_max``, ``grid`` and the flux-window
-scale from ``settings`` (``DEFAULT_N_MAX``, ``DEFAULT_GRID``,
-``WINDOW_SCALE``); only ``mu_mode``, ``outputs`` and ``methods`` default here
-(``DEFAULTS``).  ``n_max`` and ``grid.points`` are capped at
-``settings.MAX_N_MAX`` and ``settings.MAX_GRID_POINTS``, and the grid's
-step must be finite and at least ``settings.GRID_STEP_ULPS`` ulps of its
-larger end, so that it stays strictly ascending.  Output files
-carry '#'-prefixed metadata lines (resolved parameters, package version)
-followed by a CSV header and full-precision rows, so a rerun with the
-same configuration is byte-identical and every value reparses exactly.
+The configuration is a single JSON file, read as UTF-8 on any locale.
+Unknown keys are rejected with their full path so typos cannot silently
+fall back to defaults.  The physical constants are the fields of
+``SystemParams``, each finite and >= 0 but ``mu``, and a missing one keeps
+its ``SystemParams`` default; ``n_max``, ``mu_mode`` and ``grid`` default
+from ``settings``.  Each ``methods`` switch defaults from its column
+group's row of ``_SWEEP_GROUPS``.  The run table ``_RUNS`` gives the
+``--mode`` choices, and ``outputs.<mode>`` defaults to ``<mode>.csv``.
+``n_max`` and ``grid.points`` are capped at ``settings.MAX_N_MAX`` and
+``settings.MAX_GRID_POINTS``, and the grid's step must be finite and at
+least ``settings.GRID_STEP_ULPS`` ulps of its larger end, so that it
+stays strictly ascending.  Output files carry '#'-prefixed metadata
+lines (resolved parameters, package version) followed by a CSV header
+and full-precision rows, so a rerun with the same configuration is
+byte-identical and every value reparses exactly.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure (no
 unique stationary state, arithmetic overflow, or a non-finite value for
@@ -47,8 +49,8 @@ from typing import NamedTuple
 
 from . import LinalgError, __version__, build_system
 from .hilbert import SystemParams
-from .settings import (DEFAULT_GRID, DEFAULT_N_MAX, GRID_STEP_ULPS, MAX_GRID_POINTS, MAX_N_MAX,
-                       MU_MODES, WINDOW_SCALE)
+from .settings import (DEFAULT_GRID, DEFAULT_MU_MODE, DEFAULT_N_MAX, GRID_STEP_ULPS,
+                       MAX_GRID_POINTS, MAX_N_MAX, MU_MODES, WINDOW_SCALE)
 
 
 # perfbench/traced.py wraps cli.build_system (the package's function, imported
@@ -62,14 +64,6 @@ def line_windows(*args, **kwargs):
 def integrate_peak(*args, **kwargs):
     from . import spectrum
     return spectrum.integrate_peak(*args, **kwargs)
-
-
-# defaults of the settings that no other module owns
-DEFAULTS = {
-    "mu_mode": "omega_G",
-    "outputs": {"spectrum": "spectrum.csv", "sweep": "sweep.csv"},
-    "methods": {"spectrum": True, "ratemodel": False, "analytic": True},
-}
 
 
 class ConfigError(ValueError):
@@ -155,25 +149,17 @@ def validate_config(raw: dict) -> RunConfig:
     """Validate a parsed JSON tree into a RunConfig; fail closed on anything odd."""
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a JSON object")
-    allowed = {
-        "eta", "gamma", "gamma_in", "gamma_out", "gamma_cav",
-        "omega_e", "omega_s", "n_max", "mu_mode", "mu", "grid", "sweep",
-        "outputs", "methods",
-    }
-    _check_keys(raw, allowed, "")
+    _check_keys(raw, {*SystemParams._fields, "gamma", "n_max", "mu_mode", "grid", "sweep",
+                      "outputs", "methods"}, "")
 
     if "eta" not in raw:
         raise ConfigError("eta: required (coupling strength eta = Omega_R/omega_c)")
-    eta = _require_number(raw["eta"], "eta", minimum=0.0)
-
-    # absent constants keep their SystemParams defaults; gamma sets both electron rates
-    constants = {}
-    if "gamma" in raw:
-        constants["gamma_in"] = constants["gamma_out"] = _require_number(
-            raw["gamma"], "gamma", minimum=0.0)
-    for name in ("gamma_in", "gamma_out", "gamma_cav", "omega_e", "omega_s"):
-        if name in raw:
-            constants[name] = _require_number(raw[name], name, minimum=0.0)
+    # absent constants keep their SystemParams defaults; all but mu (below) are >= 0
+    constants = {name: _require_number(raw[name], name, minimum=0.0)
+                 for name in SystemParams._fields if name in raw and name != "mu"}
+    if "gamma" in raw:  # both electron rates; a rate given by name wins
+        gamma = _require_number(raw["gamma"], "gamma", minimum=0.0)
+        constants = {"gamma_in": gamma, "gamma_out": gamma, **constants}
     # the closed forms divide by it, and without it no photon leaves
     if constants.get("gamma_cav") == 0.0:
         raise ConfigError(f"gamma_cav: must be > 0, got {raw['gamma_cav']!r}")
@@ -201,7 +187,7 @@ def validate_config(raw: dict) -> RunConfig:
 
     # a swept mu is an absolute chemical potential, and the sweep supplies it
     mu_swept = sweep is not None and sweep[0] == "mu"
-    mu_mode = raw.get("mu_mode", "absolute" if mu_swept else DEFAULTS["mu_mode"])
+    mu_mode = raw.get("mu_mode", "absolute" if mu_swept else DEFAULT_MU_MODE)
     if mu_mode not in MU_MODES:
         raise ConfigError(f"mu_mode: expected one of {MU_MODES}, got {mu_mode!r}")
     if mu_swept:
@@ -233,13 +219,13 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigError(f"grid: {points} points in [{lo}, {hi}] are closer than float "
                           f"resolution allows: step {step:.3g} < {least:.3g}")
 
-    outputs = _config_object(raw, "outputs", DEFAULTS["outputs"],
-                             dict.fromkeys(DEFAULTS["outputs"], _require_file_name))
-    methods = _config_object(raw, "methods", DEFAULTS["methods"],
-                             dict.fromkeys(DEFAULTS["methods"], _require_bool))
+    outputs = _config_object(raw, "outputs", {mode: f"{mode}.csv" for mode in _RUNS},
+                             dict.fromkeys(_RUNS, _require_file_name))
+    methods = _config_object(raw, "methods", {key: on for key, on, *_ in _SWEEP_GROUPS},
+                             {key: _require_bool for key, *_ in _SWEEP_GROUPS})
 
     return RunConfig(
-        base=SystemParams(eta=eta, **constants),
+        base=SystemParams(**constants),
         n_max=n_max,
         mu_mode=mu_mode,
         grid=(lo, hi, points),
@@ -251,7 +237,7 @@ def validate_config(raw: dict) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as err:
         raise ConfigError(f"cannot read configuration file: {err}") from err
     except UnicodeDecodeError as err:
@@ -292,7 +278,8 @@ def _write_table(config: RunConfig, mode: str, out_dir, notes, columns, rows) ->
     path = out_dir / config.outputs[mode]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as file:  # row by row: a joined table costs several times its size
+        # row by row: a joined table costs several times its size
+        with path.open("w", encoding="utf-8") as file:
             file.writelines(f"# {line}\n" for line in meta)
             file.write(",".join(columns) + "\n")
             file.writelines(",".join(map(_format, row)) + "\n" for row in table)
@@ -346,13 +333,15 @@ def window_line_fluxes(system) -> dict:
     return {name: flux / window_capture(WINDOW_SCALE) for name, flux in fluxes.items()}
 
 
-# the sweep's optional column groups in CSV order: (methods key, column names, reader)
+# the sweep's optional column groups in CSV order:
+# (methods key, on by default, column names, reader)
 _SWEEP_GROUPS = (
-    ("spectrum", ("f_C", "f_plus", "f_minus"),
+    ("spectrum", True, ("f_C", "f_plus", "f_minus"),
      lambda system: itemgetter("central", "plus", "minus")(window_line_fluxes(system))),
-    ("analytic", ("f_C_analytic", "f_plus_analytic", "f_minus_analytic"),
+    ("analytic", True, ("f_C_analytic", "f_plus_analytic", "f_minus_analytic"),
      methodcaller("analytic_fluxes")),
-    ("ratemodel", ("f_C_rate", "f_plus_rate", "f_minus_rate"), methodcaller("rate_model_fluxes")),
+    ("ratemodel", False, ("f_C_rate", "f_plus_rate", "f_minus_rate"),
+     methodcaller("rate_model_fluxes")),
 )
 
 
@@ -363,7 +352,7 @@ def run_sweep(config: RunConfig, out_dir) -> Path:
     from .spectrum import window_capture
 
     variable, values = config.sweep
-    groups = [(names, fluxes) for key, names, fluxes in _SWEEP_GROUPS if config.methods[key]]
+    groups = [(names, fluxes) for key, _, names, fluxes in _SWEEP_GROUPS if config.methods[key]]
 
     columns = [variable] + [name for names, _ in groups for name in names]
     rows = []
@@ -379,12 +368,16 @@ def run_sweep(config: RunConfig, out_dir) -> Path:
     return _write_table(config, "sweep", out_dir, notes, columns, rows)
 
 
+# --mode: each mode's run, which writes the table outputs.<mode> (default <mode>.csv)
+_RUNS = {"spectrum": run_spectrum, "sweep": run_sweep}
+
+
 def load_table(path):
     """Parse a file written by this module: (metadata, columns, array)."""
     import numpy as np
 
     metadata, header, data = [], None, []
-    for line in Path(path).read_text().splitlines():
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         if line.startswith("#"):
             metadata.append(line[1:].strip())
         elif header is None:
@@ -404,15 +397,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, help="JSON configuration file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--mode", required=True, choices=("spectrum", "sweep"))
+    parser.add_argument("--mode", required=True, choices=_RUNS)
     args = parser.parse_args(argv)
 
     try:
         config = load_config(args.config)
-        if args.mode == "spectrum":
-            path = run_spectrum(config, args.out)
-        else:
-            path = run_sweep(config, args.out)
+        path = _RUNS[args.mode](config, args.out)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 1

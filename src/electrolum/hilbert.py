@@ -94,12 +94,10 @@ class SystemParams(_SystemParamsFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        for name in ("eta", "omega_e", "omega_s", "gamma_in", "gamma_out", "gamma_cav"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu}")
+        for name, value in zip(self._fields, self):
+            if not math.isfinite(value) or (value < 0 and name != "mu"):
+                rule = "finite" if name == "mu" else "finite and >= 0"
+                raise ValueError(f"{name} must be {rule}, got {value}")
         return self
 
     def _replace(self, **changes) -> SystemParams:

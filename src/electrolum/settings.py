@@ -6,6 +6,8 @@ it loads any numerical module, so this module imports nothing.
 
 # how the injecting reservoir's chemical potential is set (see pipeline.resolve_mu)
 MU_MODES = ("absolute", "omega_G", "omega_G_plus_omega_plus")
+# the command line's mu_mode when the configuration names none and sweeps no mu
+DEFAULT_MU_MODE = "omega_G"
 # photon-number cutoff of the Fock space (see hilbert.ModelSpace)
 DEFAULT_N_MAX = 8
 # largest cutoff a configuration may ask for: one spectrum or sweep run at

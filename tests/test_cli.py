@@ -16,6 +16,7 @@ from channel_rows import find_channel
 from electrolum import ModelSpace, SystemParams, build_system, cli, spectrum
 from electrolum.cli import (
     ConfigError,
+    RunConfig,
     load_table,
     main,
     run_spectrum,
@@ -38,14 +39,20 @@ def write_config(tmp_path, payload, name="config.json"):
 
 class TestValidateConfig:
     def test_minimal_defaults(self):
-        config = validate_config({"eta": 0.1})
-        assert config.eta == approx(0.1)
-        assert config.base.gamma_in == approx(0.5e-6, rel=1e-6, abs=0)
-        assert config.base.gamma_out == approx(0.5e-6, rel=1e-6, abs=0)
-        assert config.base.gamma_cav == approx(7e-4)
-        assert config.n_max == 8
-        assert config.mu_mode == "omega_G"
-        assert config.grid == (0.5, 1.5, 4001)
+        assert validate_config({"eta": 0.1}) == RunConfig(
+            base=SystemParams(eta=0.1, omega_e=1.0, omega_s=0.0, gamma_in=0.5e-6,
+                              gamma_out=0.5e-6, gamma_cav=7e-4, mu=0.0),
+            n_max=8,
+            mu_mode="omega_G",
+            grid=(0.5, 1.5, 4001),
+            sweep=None,
+            outputs={"spectrum": "spectrum.csv", "sweep": "sweep.csv"},
+            methods={"spectrum": True, "analytic": True, "ratemodel": False},
+        )
+
+    def test_given_rate_beats_gamma(self):
+        base = validate_config({"eta": 0.1, "gamma": 1e-5, "gamma_in": 2e-5}).base
+        assert (base.gamma_in, base.gamma_out) == (2e-5, 1e-5)
 
     @pytest.mark.parametrize("eta", [0.0, 0.1, 0.7])
     def test_defaults_are_the_library_defaults(self, eta):
@@ -209,7 +216,7 @@ def full_sweeps(tmp_path_factory):
     """Header and rows of each sweep with every column group on."""
     tables = {}
     for variable in SWEEPS:
-        config = sweep_config(variable, dict.fromkeys(cli.DEFAULTS["methods"], True))
+        config = sweep_config(variable, {key: True for key, _ in METHOD_COLUMNS})
         _, header, data = load_table(run_sweep(config, tmp_path_factory.mktemp(variable)))
         tables[variable] = header, data
     return tables
@@ -476,6 +483,7 @@ REFUSALS = [
     Refusal("root_not_object", "[0.1]", "sweep", 1,
             "configuration root must be a JSON object\n"),
     Refusal("eta_missing", {}, "spectrum", 1, "eta: required"),
+    Refusal("eta_not_number", {"eta": "0.1"}, "spectrum", 1, "eta: expected a number"),
     Refusal("eta_negative", {"eta": -1.0}, "sweep", 1, "eta: must be >= 0"),
     Refusal("gamma_cav_negative", {"eta": 0.1, "gamma_cav": -1}, "spectrum", 1,
             "gamma_cav: must be >= 0"),
@@ -489,6 +497,8 @@ REFUSALS = [
     *[Refusal(f"grid_points_{points}", {"eta": 0.1, "grid": {"points": points}}, "spectrum", 1,
               "grid.points: expected an integer in [2, ")
       for points in (1, MAX_GRID_POINTS + 1, 10**15)],
+    Refusal("grid_not_object", {"eta": 0.1, "grid": [0.5, 1.5]}, "spectrum", 1,
+            "grid: expected an object with min/max/points\n"),
     Refusal("grid_max_below_min", {"eta": 0.1, "grid": {"min": 1.0, "max": 0.5}}, "spectrum", 1,
             "grid.max: must exceed grid.min"),
     # np.linspace of these grids is NaN, or not strictly ascending
@@ -501,6 +511,8 @@ REFUSALS = [
             {"eta": 0.1, "grid": {"min": 1.0, "points": 3,
                                   "max": 1.0 + 2 * (GRID_STEP_ULPS - 1) * math.ulp(1.0)}},
             "spectrum", 1, "grid: 3 points in [1.0, "),
+    Refusal("mu_mode_unknown", {"eta": 0.1, "mu_mode": "high"}, "spectrum", 1,
+            "mu_mode: expected one of"),
     Refusal("mu_required_when_absolute", {"eta": 0.1, "mu_mode": "absolute"}, "spectrum", 1,
             "mu: required when mu_mode is 'absolute'"),
     Refusal("mu_with_symbolic_mu_mode", {"eta": 0.1, "mu": 0.3}, "spectrum", 1,
@@ -511,6 +523,11 @@ REFUSALS = [
     Refusal("mu_sweep_with_mu",
             {"eta": 0.1, "mu_mode": "absolute", "mu": 0.0, "sweep": MU_SWEEP}, "sweep", 1,
             "mu: not allowed with a mu sweep"),
+    Refusal("sweep_not_object", {"eta": 0.1, "sweep": [0.1]}, "sweep", 1,
+            "sweep: expected an object with variable/values\n"),
+    Refusal("sweep_variable_unknown",
+            {"eta": 0.1, "sweep": {"variable": "gamma", "values": [0.1]}}, "sweep", 1,
+            "sweep.variable: expected 'eta' or 'mu'"),
     Refusal("sweep_empty", {"eta": 0.1, "sweep": {"variable": "eta", "values": []}}, "sweep", 1,
             "sweep.values: expected a non-empty list"),
     Refusal("sweep_block_missing", {"eta": 0.1}, "sweep", 1, "sweep.values: a sweep requires"),
@@ -520,6 +537,11 @@ REFUSALS = [
               "outputs.sweep: expected a bare file name")
       for tag, name in (("sub", "sub/x.csv"), ("dot", "."), ("dotdot", ".."), ("empty", ""),
                         ("absolute", f"{TEST_DIR}/x.csv"))],
+    # methods keys in CSV column order
+    Refusal("methods_not_object", {"eta": 0.1, "methods": []}, "sweep", 1,
+            "methods: expected an object with spectrum/analytic/ratemodel\n"),
+    Refusal("methods_value_not_bool", {"eta": 0.1, "methods": {"spectrum": 1}}, "sweep", 1,
+            "methods.spectrum: expected true or false\n"),
     Refusal("file_missing", None, "spectrum", 1, "cannot read configuration file: "),
     Refusal("not_json", "not json", "sweep", 1, "configuration is not valid JSON: "),
     Refusal("not_utf8", b'{"eta": 0.1, "x": "\xff"}', "sweep", 1,
@@ -590,3 +612,24 @@ print(json.dumps([codes, loaded]))
     result = python("-c", script, json.dumps(argvs))
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == [[1] * len(argvs), []]
+
+
+@pytest.mark.parametrize("row", [
+    Refusal("non_ascii_key", '{"eta": 0.1, "ëta": 1}', "spectrum", 1,
+            "unknown configuration key: "),
+    next(row for row in REFUSALS if row.id == "not_utf8"),
+], ids=lambda row: row.id)
+def test_configuration_is_utf8_on_an_ascii_locale(row, tmp_path, monkeypatch):
+    # the C locale without UTF-8 mode or coercion decodes as ASCII; the
+    # messages are matched up to the key, which an ASCII stderr escapes
+    for name, value in (("PYTHONUTF8", "0"), ("LC_ALL", "C"), ("PYTHONCOERCECLOCALE", "0")):
+        monkeypatch.setenv(name, value)
+    script = """
+import codecs, locale, sys
+from electrolum.cli import main
+assert codecs.lookup(locale.getpreferredencoding(False)).name == "ascii"
+sys.exit(main(sys.argv[1:]))
+"""
+    result = python("-c", script, *refusal_argv(row, tmp_path))
+    assert result.returncode == row.code, result.stderr
+    assert result.stderr.startswith(f"configuration error: {row.message}"), result.stderr

@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from pytest import approx
 from dense_oracle import annihilation, basis_state, number_electron, parity, transition
 from electrolum import build_system, pipeline
 from electrolum.hilbert import ELECTRONIC_LABELS, ModelSpace, SystemParams
+from electrolum.settings import MU_MODES
 
 
 class TestModelSpace:
@@ -147,6 +149,10 @@ class TestSystemParams:
         monkeypatch.setattr(pipeline, "resolve_mu", lambda *args, **kwargs: float("inf"))
         with pytest.raises(ValueError, match="mu must be finite"):
             build_system(SystemParams(eta=0.1), n_max=2, mu_mode="omega_G")
+
+    def test_build_system_rejects_unknown_mu_mode(self):
+        with pytest.raises(ValueError, match=re.escape(str(MU_MODES))):
+            build_system(SystemParams(eta=0.1), n_max=2, mu_mode="bogus")
 
     def test_pickle_round_trip(self):
         params = SystemParams(eta=0.3, gamma_cav=1e-3, mu=-0.02)

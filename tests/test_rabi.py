@@ -84,6 +84,11 @@ class TestHamiltonian:
 
 
 class TestDressedBasis:
+    def test_rejects_another_cutoff(self):
+        params = SystemParams(eta=0.1)
+        with pytest.raises(ValueError, match="does not match the space"):
+            dressed_basis(hamiltonian(params, ModelSpace(3)), ModelSpace(4))
+
     def test_uncoupled_resonant_levels(self):
         basis, _ = basis_for(0.0)
         assert basis.omega_ground == approx(0.0)

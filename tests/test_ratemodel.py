@@ -114,6 +114,11 @@ class TestRateMatrix:
         m = rate_matrix(rate_block())
         assert np.max(np.abs(m)) == 0.0
 
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 6), (25,)])
+    def test_rejects_another_block(self, shape):
+        with pytest.raises(ValueError, match="5 x 5"):
+            rate_matrix(np.zeros(shape))
+
     @given(rates=rate_blocks())
     @settings(max_examples=50, deadline=None)
     def test_generator_structure(self, rates):
