@@ -99,17 +99,6 @@ def import_ms(stderr: str) -> dict:
     return times
 
 
-def cpu_model() -> str:
-    try:
-        with open("/proc/cpuinfo") as info:
-            for line in info:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or "unknown"
-
-
 def alternated(labels, rounds):
     """The trees in turn for each round, the order reversed every other round."""
     for k in range(rounds):
@@ -282,14 +271,15 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "src")]  # workloads imports electrolum
     from perfbench_files import load  # perfbench/<name>.py by path, unchanged
 
-    probe = load("run").SETUP_PROBE
+    run = load("run")
+    probe = run.SETUP_PROBE
     raw = load("workloads").WORKLOADS["sweep-n8"].make_input(random.Random(SEED))
     startup_results = startup(trees, probe, raw)
     layer_results, layer_resolution, identical = layers(trees)
 
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     doc = {
-        "host": {"cpu_model": cpu_model(), "nproc": len(os.sched_getaffinity(0)),
+        "host": {"cpu_model": run.cpu_model(), "nproc": len(os.sched_getaffinity(0)),
                  "machine": platform.machine(), "load_avg_at_end": os.getloadavg()},
         "python": platform.python_version(),
         "numpy": numpy.__version__,

@@ -268,7 +268,7 @@ def _write_table(config: RunConfig, mode: str, out_dir, notes, columns, rows) ->
         bad = [name for name, ok in zip(columns, finite) if not ok]
         raise LinalgError(f"non-finite values in {', '.join(bad)}; no {mode} table written")
     settings = {name: _format(getattr(config.base, name)) for name in
-                ("eta", "gamma_in", "gamma_out", "gamma_cav", "omega_e", "omega_s")}
+                ("eta", "gamma_in", "gamma_out", "gamma_cav", "omega_e")}
     settings.update(n_max=config.n_max, mu_mode=config.mu_mode)
     if mode == "sweep":
         settings.pop(config.sweep[0], None)

@@ -17,9 +17,6 @@ reproduces the known weak-coupling rates (injection 1 into the ground
 level and 1/2 into each polariton) and, downstream, the closed-form
 emission intensities, which is how it is validated in the tests.
 
-Gate arguments are built from energy differences within each sector, so
-every rate is invariant under a global shift of the empty-state energy.
-
 The dressed elements are read off the parity-chain eigenvectors of the
 basis (:mod:`electrolum.rabi`), with no dense operator products, and the
 channels of each bath form one rate matrix ``[to, from]`` over the
@@ -146,14 +143,12 @@ def injection_elements(basis: DressedBasis) -> np.ndarray:
 def all_channels(basis: DressedBasis, params) -> BathRates:
     """The three baths' rate matrices for one parameter set.
 
-    The injection gate takes the photon energy n*omega_c as
-    E_{s,n} - E_{s,0}, and the one-electron energies carry no
-    empty-state offset, so the gate argument is independent of omega_s.
+    |s,n> sits at exactly E = n*omega_c, so the injection gate compares
+    mu + E_{s,n} with the one-electron energy directly.
     """
     e = basis.energies
     empty, one_electron = basis.sector == 0, basis.sector == 1
-    photon_energy = e - e[basis.s_levels[0]]
-    injection_gate = gate_open(params.mu + photon_energy[None, :] - e[:, None])
+    injection_gate = gate_open(params.mu + e[None, :] - e[:, None])
     o_in = injection_elements(basis)
     return BathRates(
         cavity=_rates(quadrature_elements(basis), _downward(basis), params.gamma_cav),

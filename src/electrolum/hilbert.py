@@ -75,7 +75,6 @@ class ModelSpace(_ModelSpaceFields):
 class _SystemParamsFields(NamedTuple):
     eta: float  # normalised light-matter coupling Omega_R / omega_c
     omega_e: float = 1.0  # g -> e transition frequency
-    omega_s: float = 0.0  # s -> g offset; cancels from every gated rate
     gamma_in: float = 0.5e-6  # bare electron injection rate
     gamma_out: float = 0.5e-6  # bare electron extraction rate
     gamma_cav: float = 7e-4  # bare cavity decay rate

@@ -30,9 +30,9 @@ DEGENERACY_TOL = 1e-9
 
 
 class BlockHamiltonian(NamedTuple):
-    """H = a+a + omega_e |e><e| - omega_s |s><s| + eta (a + a+)(|e><g| + |g><e|).
+    """H = a+a + omega_e |e><e| + eta (a + a+)(|e><g| + |g><e|).
 
-    ``empty[n]`` is the energy of |s,n>.  ``chains[p]`` is the
+    ``empty[n]`` is the energy n of |s,n>.  ``chains[p]`` is the
     ``(diagonal, off_diagonal)`` pair of the parity chain p (0 even,
     1 odd), whose sites are ``ModelSpace.chain_sites(p)``.  There is no
     element between blocks, so the form cannot hold a Hamiltonian that
@@ -48,7 +48,7 @@ def hamiltonian(params: SystemParams, space: ModelSpace) -> BlockHamiltonian:
     k = np.arange(space.n_photon, dtype=float)
     hop = params.eta * np.sqrt(k[1:])
     chains = tuple((k + params.omega_e * ((k + p) % 2), hop) for p in (0, 1))
-    return BlockHamiltonian(empty=k - params.omega_s, chains=chains)
+    return BlockHamiltonian(empty=k, chains=chains)
 
 
 class DressedBasis(NamedTuple):
@@ -76,7 +76,7 @@ class DressedBasis(NamedTuple):
 
     @property
     def omega_ground(self) -> float:
-        """Energy of |G> (independent of omega_s)."""
+        """Energy of |G>."""
         return float(self.energies[self.index_ground])
 
     @property

@@ -100,14 +100,13 @@ def extraction_operator(space) -> np.ndarray:
 
 
 def hamiltonian(params, space) -> np.ndarray:
-    """H = a+a + omega_e |e><e| - omega_s |s><s| + rabi (a + a+)(|e><g| + |g><e|)."""
+    """H = a+a + omega_e |e><e| + eta (a + a+)(|e><g| + |g><e|)."""
     a = annihilation(space)
     x = a + a.conj().T
     sigma = transition(space, "g", "e") + transition(space, "e", "g")
     return (
         a.conj().T @ a
         + params.omega_e * transition(space, "e", "e")
-        - params.omega_s * transition(space, "s", "s")
         + params.eta * (x @ sigma)
     )
 

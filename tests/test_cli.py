@@ -40,8 +40,8 @@ def write_config(tmp_path, payload, name="config.json"):
 class TestValidateConfig:
     def test_minimal_defaults(self):
         assert validate_config({"eta": 0.1}) == RunConfig(
-            base=SystemParams(eta=0.1, omega_e=1.0, omega_s=0.0, gamma_in=0.5e-6,
-                              gamma_out=0.5e-6, gamma_cav=7e-4, mu=0.0),
+            base=SystemParams(eta=0.1, omega_e=1.0, gamma_in=0.5e-6, gamma_out=0.5e-6,
+                              gamma_cav=7e-4, mu=0.0),
             n_max=8,
             mu_mode="omega_G",
             grid=(0.5, 1.5, 4001),
@@ -480,6 +480,9 @@ REFUSALS = [
     Refusal("rabi", {"rabi": 0.1}, "spectrum", 1, "unknown configuration key: rabi\n"),
     Refusal("rabi_with_eta", {"eta": 0.1, "rabi": 0.1}, "spectrum", 1,
             "unknown configuration key: rabi\n"),
+    # the empty site sits at E = 0: mu is measured from it, with no offset to set
+    Refusal("omega_s_is_not_a_key", {"eta": 0.1, "omega_s": 0.3}, "spectrum", 1,
+            "unknown configuration key: omega_s\n"),
     Refusal("root_not_object", "[0.1]", "sweep", 1,
             "configuration root must be a JSON object\n"),
     Refusal("eta_missing", {}, "spectrum", 1, "eta: required"),

@@ -24,7 +24,6 @@ def dense_rates(system):
     e = basis.energies
     v = basis.states
     one_el = np.flatnonzero(basis.sector == 1)
-    e_s0 = e[basis.s_levels[0]]
     baths = {}
     for name, op, pairs, bare_rate in (
         ("cavity", dense_oracle.quadrature(space),
@@ -34,7 +33,7 @@ def dense_rates(system):
          [(j, i) for j in one_el for i in basis.s_levels], params.gamma_out),
         ("electron_in", dense_oracle.injection_operator(space),
          [(j, i) for j in basis.s_levels for i in one_el
-          if gate_open(params.mu + (e[j] - e_s0) - e[i])], params.gamma_in),
+          if gate_open(params.mu + e[j] - e[i])], params.gamma_in),
     ):
         elems = v.conj().T @ op @ v
         rates = np.zeros((basis.dim, basis.dim))

@@ -53,12 +53,13 @@ class TestHamiltonian:
         assert e1.conj() @ h @ g0 == approx(params.eta)
 
     def test_empty_state_energies(self):
+        # |s,n> sits at exactly E = n: the injection gate reads mu + n off it
         space = ModelSpace(5)
-        params = SystemParams(eta=0.1, omega_s=0.2)
-        h = dense_hamiltonian(params, space)
-        for n in range(space.n_photon):
-            sn = basis_state(space, "s", n)
-            assert np.real(sn.conj() @ h @ sn) == approx(n - params.omega_s)
+        ladder = np.arange(space.n_photon, dtype=float)
+        h = hamiltonian(SystemParams(eta=0.1), space)
+        assert np.array_equal(h.empty, ladder)
+        basis = dressed_basis(h, space)
+        assert np.array_equal(basis.energies[list(basis.s_levels)], ladder)
 
     def test_conserves_electron_number(self):
         space = ModelSpace(6)
@@ -68,12 +69,12 @@ class TestHamiltonian:
 
     def test_hermitian(self):
         space = ModelSpace(6)
-        h = dense_hamiltonian(SystemParams(eta=0.2, omega_s=0.1), space)
+        h = dense_hamiltonian(SystemParams(eta=0.2), space)
         assert np.max(np.abs(h - h.conj().T)) == approx(0.0)
 
     @pytest.mark.parametrize("params", [
         SystemParams(eta=0.3),
-        SystemParams(eta=0.7, omega_e=0.9, omega_s=0.25),
+        SystemParams(eta=0.7, omega_e=0.9),
     ])
     def test_chains_are_the_kron_hamiltonian(self, params):
         # the two parity chains and the empty sites hold every nonzero
