@@ -20,7 +20,7 @@ The set (32 files):
 * eta sweeps at both bias points and a mu sweep, each under all 8
   combinations of the ``methods`` switches;
 * an eta sweep at n_max 12;
-* a spectrum and a sweep with the ``gamma``, ``gamma_in``,
+* a spectrum and a sweep with the ``gamma_in``, ``gamma_out``,
   ``gamma_cav`` and ``omega_e`` overrides;
 * the readers table at both symbolic bias points, eta 0.05, 0.1 and 0.3
   and n_max 8 and 12.
@@ -35,7 +35,7 @@ from electrolum.cli import run_spectrum, run_sweep, validate_config
 
 ETA_VALUES = [0.02, 0.05, 0.1, 0.3, 0.8]
 MU_VALUES = [-0.05, -0.002, 0.0, 0.5, 0.96, 1.0, 1.05, 2.1]
-OVERRIDES = {"eta": 0.2, "gamma": 2e-6, "gamma_in": 1e-6, "gamma_cav": 1e-3,
+OVERRIDES = {"eta": 0.2, "gamma_in": 1e-6, "gamma_out": 2e-6, "gamma_cav": 1e-3,
              "omega_e": 1.1}
 READER_COLUMNS = ("mu_mode", "eta", "n_max", "f_C", "f_plus", "f_minus",
                   "f_C_rate", "f_plus_rate", "f_minus_rate")

@@ -85,10 +85,9 @@ class RunConfig(NamedTuple):
     def eta(self) -> float:
         return self.base.eta
 
-    def params(self, eta: float | None = None, mu: float | None = None) -> SystemParams:
+    def params(self, **changes) -> SystemParams:
         """``base`` with the given values, checked again as a new SystemParams."""
-        changes = {"eta": eta, "mu": mu}
-        return self.base._replace(**{k: v for k, v in changes.items() if v is not None})
+        return self.base._replace(**changes)
 
 
 def _require_number(value, path, minimum=None):
@@ -149,17 +148,14 @@ def validate_config(raw: dict) -> RunConfig:
     """Validate a parsed JSON tree into a RunConfig; fail closed on anything odd."""
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a JSON object")
-    _check_keys(raw, {*SystemParams._fields, "gamma", "n_max", "mu_mode", "grid", "sweep",
-                      "outputs", "methods"}, "")
+    _check_keys(raw, {*SystemParams._fields, "n_max", "mu_mode", "grid", "sweep", "outputs",
+                      "methods"}, "")
 
     if "eta" not in raw:
         raise ConfigError("eta: required (coupling strength eta = Omega_R/omega_c)")
     # absent constants keep their SystemParams defaults; all but mu (below) are >= 0
     constants = {name: _require_number(raw[name], name, minimum=0.0)
                  for name in SystemParams._fields if name in raw and name != "mu"}
-    if "gamma" in raw:  # both electron rates; a rate given by name wins
-        gamma = _require_number(raw["gamma"], "gamma", minimum=0.0)
-        constants = {"gamma_in": gamma, "gamma_out": gamma, **constants}
     # the closed forms divide by it, and without it no photon leaves
     if constants.get("gamma_cav") == 0.0:
         raise ConfigError(f"gamma_cav: must be > 0, got {raw['gamma_cav']!r}")
@@ -301,17 +297,16 @@ def run_spectrum(config: RunConfig, out_dir) -> Path:
     system = build_system(config.params(), n_max=config.n_max, mu_mode=config.mu_mode)
     gmin, gmax, points = config.grid
     spec = system.emission_spectrum(np.linspace(gmin, gmax, points))
-    outside = [f"{name} at {center:.6g}"
-               for name, center in emission_line_centers(system.basis).items()
+    centers = emission_line_centers(system.basis)
+    outside = [f"{name} at {center:.6g}" for name, center in centers.items()
                if not gmin <= center <= gmax]
     if outside:
         warnings.warn(f"line centers outside the grid [{gmin:g}, {gmax:g}]: "
                       + ", ".join(outside), stacklevel=2)
 
-    basis = system.basis
     notes = [f"{name} = {_format(value)}" for name, value in (
-        ("mu", system.params.mu), ("omega_G", basis.omega_ground),
-        ("omega_minus", basis.omega_minus), ("omega_plus", basis.omega_plus))]
+        ("mu", system.params.mu), ("omega_G", system.basis.omega_ground),
+        ("omega_minus", centers["minus"]), ("omega_plus", centers["plus"]))]
     return _write_table(config, "spectrum", out_dir, notes, ("omega", "S"),
                         np.column_stack((spec.omegas, spec.values)))
 

@@ -86,7 +86,8 @@ class SystemParams(_SystemParamsFields):
 
     ``mu`` is the chemical potential of the injecting reservoir and may be
     negative (the dressed ground-state energy is negative at finite
-    coupling); everything else is a frequency or a rate and must be >= 0.
+    coupling); every other field is a frequency or a rate and must be >= 0,
+    ``gamma_cav`` > 0 (the closed forms divide by it; without it no photon leaves).
     """
 
     __slots__ = ()
@@ -94,8 +95,9 @@ class SystemParams(_SystemParamsFields):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         for name, value in zip(self._fields, self):
-            if not math.isfinite(value) or (value < 0 and name != "mu"):
-                rule = "finite" if name == "mu" else "finite and >= 0"
+            in_range = name == "mu" or (value > 0 if name == "gamma_cav" else value >= 0)
+            if not (math.isfinite(value) and in_range):
+                rule = {"mu": "finite", "gamma_cav": "finite and > 0"}.get(name, "finite and >= 0")
                 raise ValueError(f"{name} must be {rule}, got {value}")
         return self
 

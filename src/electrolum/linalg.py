@@ -75,8 +75,8 @@ def stationary_distribution(rates) -> np.ndarray:
     classes = int(np.sum(~np.triu(among, 1).any(axis=0)))
     if classes != 1:
         raise NullSpaceError(
-            f"kernel dimension ambiguous: the rate graph has "
-            f"{classes} closed classes"
+            f"no unique stationary state: the rate graph has {classes} closed "
+            "classes (is the channel graph connected, e.g. gamma_in > 0?)"
         )
     members = np.flatnonzero(reach[recurrent[0]])
 

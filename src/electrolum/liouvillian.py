@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import NullSpaceError, stationary_distribution
+from .linalg import stationary_distribution
 
 
 class SecularGenerator(NamedTuple):
@@ -62,10 +62,6 @@ def build_liouvillian(channels) -> SecularGenerator:
     return SecularGenerator(rates=rates, out_rates=rates.sum(axis=0))
 
 
-class SteadyStateError(NullSpaceError):
-    """The generator has no unique stationary state."""
-
-
 def steady_state(lv: SecularGenerator) -> np.ndarray:
     """Unique stationary populations p_k of the dressed levels.
 
@@ -77,15 +73,9 @@ def steady_state(lv: SecularGenerator) -> np.ndarray:
     decays and the stationary state is diagonal in the dressed basis
     (see :func:`density_operator`).  More than one closed class in the
     rate graph (for example with the electron channels switched off)
-    raises SteadyStateError.
+    raises ``linalg.NullSpaceError``.
     """
-    try:
-        return stationary_distribution(lv.rates)
-    except NullSpaceError as err:
-        raise SteadyStateError(
-            f"no unique stationary state: {err} "
-            "(is the channel graph connected, e.g. gamma_in > 0?)"
-        ) from err
+    return stationary_distribution(lv.rates)
 
 
 def density_operator(basis, populations: np.ndarray) -> np.ndarray:

@@ -3,9 +3,10 @@
 Also owns the bias-point bookkeeping.  The chemical potential can be
 given as an absolute number or symbolically relative to the dressed
 levels, which must be resolved *after* diagonalization because the
-dressed energies depend on the coupling:
+dressed energies depend on the coupling.  ``build_system`` takes
+``params.mu`` as is in ``absolute`` mode and has :func:`resolve_mu`
+read the two symbolic modes off the dressed line frequencies:
 
-* ``absolute``: use ``params.mu`` as is.
 * ``omega_G``: the low-bias operating point.  Injection reaches only the
   dressed ground level from |s,0>, so no direct polariton injection is
   possible, but the bias is raised just enough (by omega_plus - omega_c,
@@ -37,14 +38,12 @@ from .rabi import DressedBasis, dressed_basis, hamiltonian
 from .settings import DEFAULT_N_MAX, MU_MODES
 
 
-def resolve_mu(mode: str, basis: DressedBasis, absolute: float = 0.0) -> float:
-    if mode == "absolute":
-        return float(absolute)
+def resolve_mu(mode: str, basis: DressedBasis) -> float:
+    centers = spectrum_mod.emission_line_centers(basis)
     if mode == "omega_G":
-        centers = spectrum_mod.emission_line_centers(basis)
         return basis.omega_ground + max(0.0, centers["plus"] - centers["central"])
     if mode == "omega_G_plus_omega_plus":
-        return basis.omega_ground + basis.omega_plus
+        return basis.omega_ground + centers["plus"]
     raise ValueError(f"unknown mu mode {mode!r}; expected one of {MU_MODES}")
 
 
@@ -92,8 +91,8 @@ def build_system(params: SystemParams, n_max: int = DEFAULT_N_MAX,
     """Assemble the full open system and solve for its steady state."""
     space = ModelSpace(n_max)
     basis = dressed_basis(hamiltonian(params, space), space)
-    mu = resolve_mu(mu_mode, basis, absolute=params.mu)
-    params = params._replace(mu=mu)
+    if mu_mode != "absolute":
+        params = params._replace(mu=resolve_mu(mu_mode, basis))
     channels = dissipators.all_channels(basis, params)
     lv = build_liouvillian(channels)
     return DressedSystem(

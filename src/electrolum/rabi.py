@@ -80,14 +80,6 @@ class DressedBasis(NamedTuple):
         return float(self.energies[self.index_ground])
 
     @property
-    def omega_minus(self) -> float:
-        return float(self.energies[self.index_minus] - self.energies[self.index_ground])
-
-    @property
-    def omega_plus(self) -> float:
-        return float(self.energies[self.index_plus] - self.energies[self.index_ground])
-
-    @property
     def dim(self) -> int:
         return self.space.dim
 

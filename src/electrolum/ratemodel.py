@@ -22,7 +22,8 @@ bias regimes with gamma_in = gamma_out = gamma:
 
 They are implemented verbatim with no validity guard; they hold for
 eta << 1 and gamma << gamma_cav.  ``DressedSystem.analytic_fluxes`` picks
-the regime from the system's injection channels; a dark system reads 0.
+the regime from the system's injection channels and passes the mean of
+``gamma_in`` and ``gamma_out`` as gamma; a dark system reads 0.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .liouvillian import SecularGenerator
-from .linalg import NullSpaceError, stationary_distribution
+from .linalg import stationary_distribution
 from .rabi import DressedBasis
 
 # population vector order used throughout this module, and its indices
@@ -76,10 +77,7 @@ def rate_matrix(rates: np.ndarray) -> np.ndarray:
 
 def rate_steady_state(rates: np.ndarray) -> np.ndarray:
     """Stationary populations in STATE_ORDER of a block or its generator (diagonal unread)."""
-    try:
-        return stationary_distribution(rates)
-    except NullSpaceError as err:
-        raise NullSpaceError(f"rate system has no unique steady state: {err}") from err
+    return stationary_distribution(rates)
 
 
 def fluxes(populations: np.ndarray, rates: np.ndarray):

@@ -31,7 +31,6 @@ import numpy as np
 import scipy.linalg as sla
 
 from electrolum.hilbert import ELECTRONIC_LABELS
-from electrolum.liouvillian import SteadyStateError
 from electrolum.linalg import LinalgError, NullSpaceError
 
 # absolute floor of the kernel tolerances of null_vector
@@ -283,10 +282,7 @@ def steady_state(mat: np.ndarray, space=None) -> np.ndarray:
     With ``space``, ``mat`` is the charge-0 block of the generator
     (``charge_split``), and rho is 0 outside it.
     """
-    try:
-        v = null_vector(mat)
-    except NullSpaceError as err:
-        raise SteadyStateError(f"no unique stationary state: {err}") from err
+    v = null_vector(mat)
     if space is not None:
         full = np.zeros(space.dim**2, dtype=complex)
         full[charge_blocks(space)[0]] = v

@@ -29,6 +29,7 @@ from electrolum.liouvillian import check_density_operator
 from electrolum.ratemodel import analytic_el, analytic_gse
 from electrolum.settings import DEFAULT_GRID
 from electrolum.spectrum import (
+    emission_line_centers,
     integrate_peak,
     line_windows,
     quadrature_moment,
@@ -85,7 +86,7 @@ class Runs:
             self.random_sets.append(name)
 
         base = self.systems["low_bias_eta=0.1"].basis
-        threshold = base.omega_ground + base.omega_minus
+        threshold = base.omega_ground + emission_line_centers(base)["minus"]
         self.threshold = threshold
         for delta in (-0.01, -0.005, 0.005, 0.01):
             self.systems[f"bias_sweep_{delta:+}"] = build_system(

@@ -50,10 +50,6 @@ class TestValidateConfig:
             methods={"spectrum": True, "analytic": True, "ratemodel": False},
         )
 
-    def test_given_rate_beats_gamma(self):
-        base = validate_config({"eta": 0.1, "gamma": 1e-5, "gamma_in": 2e-5}).base
-        assert (base.gamma_in, base.gamma_out) == (2e-5, 1e-5)
-
     @pytest.mark.parametrize("eta", [0.0, 0.1, 0.7])
     def test_defaults_are_the_library_defaults(self, eta):
         config = validate_config({"eta": eta})
@@ -483,6 +479,9 @@ REFUSALS = [
     # the empty site sits at E = 0: mu is measured from it, with no offset to set
     Refusal("omega_s_is_not_a_key", {"eta": 0.1, "omega_s": 0.3}, "spectrum", 1,
             "unknown configuration key: omega_s\n"),
+    # each electron rate has one name: gamma_in and gamma_out
+    Refusal("gamma_is_not_a_key", {"eta": 0.1, "gamma": 1e-6}, "spectrum", 1,
+            "unknown configuration key: gamma\n"),
     Refusal("root_not_object", "[0.1]", "sweep", 1,
             "configuration root must be a JSON object\n"),
     Refusal("eta_missing", {}, "spectrum", 1, "eta: required"),
@@ -560,12 +559,14 @@ REFUSALS = [
     # no electron exchange at all: both sector grounds are stationary and
     # the steady state is ambiguous
     Refusal("no_electron_exchange",
-            {"eta": 0.1, "gamma": 0.0, "n_max": 2, "grid": {"min": 0.9, "max": 1.1, "points": 11}},
+            {"eta": 0.1, "gamma_in": 0.0, "gamma_out": 0.0, "n_max": 2,
+             "grid": {"min": 0.9, "max": 1.1, "points": 11}},
             "spectrum", 2, "no unique stationary state"),
     # line widths past 1e154: their squares overflow in the spectrum
     *[Refusal(f"gamma_cav_{rate:g}", {"eta": 0.1, "gamma_cav": rate, "n_max": 2}, "spectrum", 2,
               "arithmetic overflow: ") for rate in (1e160, 1e300)],
-    Refusal("gamma_1e300_sweep", {"eta": 0.1, "gamma": 1e300, "n_max": 2, "sweep": SWEEP},
+    Refusal("gamma_1e300_sweep",
+            {"eta": 0.1, "gamma_in": 1e300, "gamma_out": 1e300, "n_max": 2, "sweep": SWEEP},
             "sweep", 2, "non-finite values in f_C_analytic, f_plus_analytic, f_minus_analytic; "
             "no sweep table written\n"),
 ]

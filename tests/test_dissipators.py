@@ -19,6 +19,7 @@ from electrolum.dissipators import (
 from electrolum.hilbert import ModelSpace, SystemParams
 from electrolum.pipeline import build_system
 from electrolum.rabi import dressed_basis, hamiltonian
+from electrolum.spectrum import emission_line_centers
 
 
 def make_basis(eta, n_max=8, **kwargs):
@@ -121,7 +122,7 @@ class TestInjectionChannels:
 
     def test_polariton_injection_half_each(self):
         basis, space, params = make_basis(1e-3)
-        mu = basis.omega_ground + basis.omega_plus
+        mu = basis.omega_ground + emission_line_centers(basis)["plus"]
         inj = bath(basis, params, "electron_in", gamma_in=1.0, mu=mu)
         s0 = basis.s_levels[0]
         assert inj[basis.index_plus, s0] == approx(0.5, rel=1e-2)
@@ -129,10 +130,9 @@ class TestInjectionChannels:
 
     def test_threshold_exactness(self):
         basis, space, params = make_basis(0.1)
-        s0 = basis.s_levels[0]
-        for idx, omega in ((basis.index_minus, basis.omega_minus),
-                           (basis.index_plus, basis.omega_plus)):
-            threshold = basis.omega_ground + omega
+        s0, centers = basis.s_levels[0], emission_line_centers(basis)
+        for idx, name in ((basis.index_minus, "minus"), (basis.index_plus, "plus")):
+            threshold = basis.omega_ground + centers[name]
             below = bath(basis, params, "electron_in", gamma_in=1.0, mu=threshold - 2e-9)
             at = bath(basis, params, "electron_in", gamma_in=1.0, mu=threshold)
             assert below[idx, s0] == 0.0

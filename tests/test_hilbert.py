@@ -144,6 +144,9 @@ class TestSystemParams:
         assert type(params._replace(mu=-0.05)) is SystemParams
         with pytest.raises(ValueError, match="gamma_cav"):
             params._replace(gamma_cav=-1.0)
+        # no photon leaves an undamped cavity, and the closed forms divide by gamma_cav
+        with pytest.raises(ValueError, match="^gamma_cav must be finite and > 0, got 0.0$"):
+            params._replace(gamma_cav=0.0)
         with pytest.raises(ValueError, match="mu"):
             params._replace(mu=float("nan"))
 

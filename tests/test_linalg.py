@@ -128,7 +128,8 @@ class TestStationaryDistribution:
         np.zeros((2, 2)),
     ])
     def test_two_closed_classes_raise(self, rates):
-        with pytest.raises(NullSpaceError, match="2 closed classes"):
+        message = "^no unique stationary state: the rate graph has 2 closed classes"
+        with pytest.raises(NullSpaceError, match=message):
             stationary_distribution(generator(rates))
 
     @pytest.mark.parametrize("m", [
