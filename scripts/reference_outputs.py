@@ -11,7 +11,8 @@ table ``readers.csv`` holds what no CLI table reads: the exact
 systems built through ``validate_config`` and ``build_system``.  Run it
 on two versions of the code and compare the directories with
 ``diff -r``: a change that should not move a result leaves them
-identical.
+identical.  ``tests/test_reference_outputs.py`` checks every cell against
+the copy committed under ``tests/reference/``.
 
 The set (32 files):
 

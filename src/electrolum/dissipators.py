@@ -96,8 +96,8 @@ def gate_open(argument):
     return argument >= -GATE_TOL
 
 
-def _rates(elements: np.ndarray, allowed: np.ndarray, bare_rate: float) -> np.ndarray:
-    """bare_rate elements[i, j]^2 wherever allowed[i, j] and above the weight cut, else 0."""
+def _rates(elements: np.ndarray, allowed, bare_rate: float) -> np.ndarray:
+    """bare_rate elements[i, j]^2 where allowed (mask or True) and above the weight cut, else 0."""
     weight = elements**2
     return np.where(allowed & (weight >= WEIGHT_CUT), bare_rate * weight, 0.0)
 
@@ -144,17 +144,17 @@ def all_channels(basis: DressedBasis, params) -> BathRates:
     """The three baths' rate matrices for one parameter set.
 
     |s,n> sits at exactly E = n*omega_c, so the injection gate compares
-    mu + E_{s,n} with the one-electron energy directly.
+    mu + E_{s,n} with the one-electron energy directly.  The elements of
+    O_in are exactly 0.0 except from an empty level to a chain level, so
+    neither electron bath needs an electron-number mask.
     """
     e = basis.energies
-    empty, one_electron = basis.sector == 0, basis.sector == 1
-    injection_gate = gate_open(params.mu + e[None, :] - e[:, None])
     o_in = injection_elements(basis)
     return BathRates(
         cavity=_rates(quadrature_elements(basis), _downward(basis), params.gamma_cav),
-        electron_in=_rates(o_in, np.outer(one_electron, empty) & injection_gate,
+        electron_in=_rates(o_in, gate_open(params.mu + e[None, :] - e[:, None]),
                            params.gamma_in),
-        electron_out=_rates(o_in.T, np.outer(empty, one_electron), params.gamma_out),
+        electron_out=_rates(o_in.T, True, params.gamma_out),
         energies=e,
     )
 

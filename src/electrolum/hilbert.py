@@ -12,7 +12,7 @@ Conventions, used everywhere in the package:
   electronic order (s, g, e).
 
 This module imports no numpy, and its records are ``typing.NamedTuple``
-subclasses, so nothing beyond ``math`` and ``typing`` either: the
+subclasses, so nothing beyond ``math``, ``operator`` and ``typing``: the
 command line validates a configuration with ``SystemParams`` alone, so
 that checking a configuration, ``--help`` and a configuration error load
 neither numpy nor ``inspect``.  Both records check their fields in
@@ -23,6 +23,7 @@ routes ``_replace`` through it, so a replaced copy is checked again.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 ELECTRONIC_LABELS = ("s", "g", "e")
@@ -38,7 +39,7 @@ class ModelSpace(_ModelSpaceFields):
     __slots__ = ()
 
     def __new__(cls, n_max: int):
-        if n_max < 1:
+        if operator.index(n_max) < 1:  # TypeError for a non-integer; numpy integers pass
             raise ValueError(
                 "n_max must be at least 1: the satellite emission channels "
                 "involve the one-photon states"

@@ -80,7 +80,8 @@ def steady_state(lv: SecularGenerator) -> np.ndarray:
 
 def density_operator(basis, populations: np.ndarray) -> np.ndarray:
     """V diag(p) V^T: the state with dressed populations p, in the bare basis."""
-    rho = (basis.states * populations) @ basis.states.T
+    v = basis.states  # built from the chains on each read
+    rho = (v * populations) @ v.T
     return 0.5 * (rho + rho.T)
 
 

@@ -32,47 +32,54 @@ DEGENERACY_TOL = 1e-9
 class BlockHamiltonian(NamedTuple):
     """H = a+a + omega_e |e><e| + eta (a + a+)(|e><g| + |g><e|).
 
-    ``empty[n]`` is the energy n of |s,n>.  ``chains[p]`` is the
-    ``(diagonal, off_diagonal)`` pair of the parity chain p (0 even,
-    1 odd), whose sites are ``ModelSpace.chain_sites(p)``.  There is no
-    element between blocks, so the form cannot hold a Hamiltonian that
-    mixes electron numbers or parities.
+    ``chains[p]`` is the ``(diagonal, off_diagonal)`` pair of the parity
+    chain p (0 even, 1 odd), whose sites are ``ModelSpace.chain_sites(p)``.
+    The empty sites |s,n> are not stored: H is diagonal there, with
+    energy n.  There is no element between blocks, so the form cannot
+    hold a Hamiltonian that mixes electron numbers or parities.
     """
 
-    empty: np.ndarray
     chains: tuple
 
 
 def hamiltonian(params: SystemParams, space: ModelSpace) -> BlockHamiltonian:
-    """The coupled Hamiltonian as empty-site energies and two parity chains."""
+    """The coupled Hamiltonian as two parity chains."""
     k = np.arange(space.n_photon, dtype=float)
     hop = params.eta * np.sqrt(k[1:])
     chains = tuple((k + params.omega_e * ((k + p) % 2), hop) for p in (0, 1))
-    return BlockHamiltonian(empty=k, chains=chains)
+    return BlockHamiltonian(chains=chains)
 
 
 class DressedBasis(NamedTuple):
     """Eigenbasis of the coupled Hamiltonian with physical labels attached.
 
-    ``energies`` ascend globally; ``states`` holds the real eigenvectors
-    as columns in the bare basis; ``sector[k]`` is the electron number of
-    eigenstate k.  ``s_levels[n]`` is the eigenindex of |s,n> (exact bare
-    states, the zero-electron block is diagonal), and ``index_ground`` /
-    ``index_minus`` / ``index_plus`` point at the three lowest
-    one-electron levels.  ``chains[p]`` is the pair ``(levels, vectors)``
-    of parity chain p: column c of ``vectors`` is eigenstate
-    ``levels[c]`` over the chain's sites.
+    Stored: ``energies``, ascending globally; ``s_levels[n]``, the
+    eigenindex of |s,n> (an exact bare state with energy n, since the
+    zero-electron block is diagonal); ``index_ground`` / ``index_minus``
+    / ``index_plus``, the three lowest one-electron levels; and
+    ``chains[p]``, the pair ``(levels, vectors)`` of parity chain p:
+    column c of ``vectors`` is eigenstate ``levels[c]`` over the chain's
+    sites.  The chains and ``s_levels`` fix every eigenvector, so the
+    bare-basis matrix ``states`` is derived from them on each read.
     """
 
     space: ModelSpace
     energies: np.ndarray
-    states: np.ndarray
-    sector: np.ndarray
     s_levels: tuple
     index_ground: int
     index_minus: int
     index_plus: int
     chains: tuple
+
+    @property
+    def states(self) -> np.ndarray:
+        """Real eigenvectors as columns in the bare basis, built on each read."""
+        space = self.space
+        v = np.zeros((space.dim, space.dim))
+        v[[space.index("s", n) for n in range(space.n_photon)], list(self.s_levels)] = 1.0
+        for p, (levels, vectors) in enumerate(self.chains):
+            v[np.ix_(space.chain_sites(p), levels)] = vectors
+        return v
 
     @property
     def omega_ground(self) -> float:
@@ -109,41 +116,31 @@ def dressed_basis(h: BlockHamiltonian, space: ModelSpace) -> DressedBasis:
     the odd chain) and then sorted by energy, ties keeping that order.
     """
     nph = space.n_photon
-    if len(h.empty) != nph or any(len(diag) != nph for diag, _ in h.chains):
+    if any(len(diag) != nph for diag, _ in h.chains):
         raise ValueError("Hamiltonian dimension does not match the space")
     solved = [np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
               for diag, off in h.chains]
-    energies = np.concatenate([h.empty] + [vals for vals, _ in solved])
+    ladder = np.arange(nph, dtype=float)  # |s,n> has energy n
+    energies = np.concatenate([ladder] + [vals for vals, _ in solved])
     order = np.argsort(energies, kind="stable")
     # level[b]: eigenindex of the b-th level in block order
     level = np.empty_like(order)
     level[order] = np.arange(space.dim)
-    block = np.repeat([0, 1, 2], nph)  # empty, even chain, odd chain
     # <n> of each level, for the -/+ tie-break
-    photons = np.concatenate([np.arange(nph)]
-                             + [np.arange(nph) @ vecs**2 for _, vecs in solved])
+    photons = np.concatenate([ladder] + [ladder @ vecs**2 for _, vecs in solved])
+    chains = tuple((level[(1 + p) * nph:(2 + p) * nph], vecs)
+                   for p, (_, vecs) in enumerate(solved))
 
-    states = np.zeros((space.dim, space.dim))
-    states[[space.index("s", n) for n in range(nph)], level[:nph]] = 1.0
-    chains = []
-    for p, (_, vecs) in enumerate(solved):
-        levels = level[(1 + p) * nph:(2 + p) * nph]
-        states[np.ix_(space.chain_sites(p), levels)] = vecs
-        chains.append((levels, vecs))
-
-    sector = (block[order] > 0).astype(int)
     index_ground, index_minus, index_plus = _order_low_triplet(
-        np.flatnonzero(sector == 1), energies[order], photons[order])
+        np.sort(level[nph:]), energies[order], photons[order])
     return DressedBasis(
         space=space,
         energies=energies[order],
-        states=states,
-        sector=sector,
         s_levels=tuple(int(k) for k in level[:nph]),
         index_ground=int(index_ground),
         index_minus=int(index_minus),
         index_plus=int(index_plus),
-        chains=tuple(chains),
+        chains=chains,
     )
 
 

@@ -64,7 +64,7 @@ class Spectrum(_SpectrumFields):
     __slots__ = ()
 
     def __new__(cls, omegas: np.ndarray, values: np.ndarray):
-        if np.any(np.diff(omegas) <= 0):
+        if not np.all(np.diff(omegas) > 0):  # False for NaN, too
             raise ValueError("frequency grid must be strictly ascending")
         return super().__new__(cls, omegas, values)
 

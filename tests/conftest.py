@@ -10,15 +10,15 @@ from electrolum.settings import DEFAULT_GRID
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """Echo the acceptance-criterion verdicts even under output capture."""
-    for name, module in sys.modules.items():
-        if name.endswith("test_acceptance"):
-            lines = getattr(module, "REPORT_LINES", [])
-            if lines:
-                terminalreporter.section("acceptance criteria")
-                for line in lines:
-                    terminalreporter.write_line(line)
-            break
+    """Echo the acceptance verdicts and the reference-table check even under output capture."""
+    for suffix, title in (("test_acceptance", "acceptance criteria"),
+                          ("test_reference_outputs", "reference tables")):
+        module = next((m for name, m in sys.modules.items() if name.endswith(suffix)), None)
+        lines = getattr(module, "REPORT_LINES", [])
+        if lines:
+            terminalreporter.section(title)
+            for line in lines:
+                terminalreporter.write_line(line)
 
 # reference parameter set used throughout: eta = 0.1, gamma = 0.5e-6,
 # gamma_cav = 7e-4 (all in units of the cavity frequency)

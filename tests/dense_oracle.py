@@ -64,6 +64,12 @@ def number_electron(space) -> np.ndarray:
     return transition(space, "g", "g") + transition(space, "e", "e")
 
 
+def electron_numbers(basis) -> np.ndarray:
+    """Electron number <k|N|k> of every dressed level, rounded to 0 or 1."""
+    n = np.diag(number_electron(basis.space)).real @ basis.states**2
+    return np.rint(n).astype(int)
+
+
 def number_photon(space) -> np.ndarray:
     """Photon number a^dagger a."""
     a = annihilation(space)
@@ -111,10 +117,13 @@ def hamiltonian(params, space) -> np.ndarray:
 
 
 def assemble(h, space) -> np.ndarray:
-    """A block-form Hamiltonian of the package as a dense matrix in the bare basis."""
+    """A block-form Hamiltonian of the package as a dense matrix in the bare basis.
+
+    The form stores the two parity chains only; |s,n> gets its energy n here.
+    """
     m = np.zeros((space.dim, space.dim))
     empty = [space.index("s", n) for n in range(space.n_photon)]
-    m[empty, empty] = h.empty
+    m[empty, empty] = np.arange(space.n_photon)
     for p, (diag, off) in enumerate(h.chains):
         sites = space.chain_sites(p)
         m[np.ix_(sites, sites)] = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from dense_oracle import annihilation, basis_state, quadrature
+from dense_oracle import annihilation, basis_state, electron_numbers, quadrature
 from electrolum.dissipators import (
     BATH_CAVITY,
     BATH_IN,
@@ -188,7 +188,7 @@ def loop_channels(basis, params):
             if weight >= WEIGHT_CUT:
                 rows.append((int(j), int(i), bare_rate * weight, e[j] - e[i], bath))
 
-    one_el = np.flatnonzero(basis.sector == 1)
+    one_el = np.flatnonzero(electron_numbers(basis) == 1)
     add(quadrature_elements(basis), [(j, i) for j in range(basis.dim)
                                      for i in range(basis.dim) if e[j] > e[i]],
         params.gamma_cav, BATH_CAVITY)

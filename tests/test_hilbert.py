@@ -19,6 +19,9 @@ class TestModelSpace:
     def test_rejects_no_photon_level(self):
         with pytest.raises(ValueError):
             ModelSpace(0)
+        with pytest.raises(TypeError, match="integer"):
+            ModelSpace(2.5)
+        assert ModelSpace(np.int64(3)) == ModelSpace(3)
 
     def test_index_round_trip(self):
         space = ModelSpace(4)

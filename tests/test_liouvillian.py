@@ -261,7 +261,8 @@ class TestBoundPhotonIdentity:
         system, deviation = self.deviation(eta)
         basis, channels = system.basis, system.channels
         jumps = cascade_jumps(channels.cavity, channels.energies)
-        resting = np.flatnonzero((channels.cavity.sum(axis=0) == 0) & (basis.sector == 1))
+        resting = np.flatnonzero((channels.cavity.sum(axis=0) == 0)
+                                 & (dense_oracle.electron_numbers(basis) == 1))
         assert resting.tolist() == [basis.index_ground]
         rung = np.zeros(basis.dim)
         rung[list(basis.s_levels)] = np.arange(basis.space.n_photon)

@@ -23,16 +23,18 @@ def dense_rates(system):
     basis, space, params = system.basis, system.basis.space, system.params
     e = basis.energies
     v = basis.states
-    one_el = np.flatnonzero(basis.sector == 1)
+    # electron number of each level from the dense operator, not from the package's labels
+    electrons = dense_oracle.electron_numbers(basis)
+    empty, one_el = np.flatnonzero(electrons == 0), np.flatnonzero(electrons == 1)
     baths = {}
     for name, op, pairs, bare_rate in (
         ("cavity", dense_oracle.quadrature(space),
          [(j, i) for j in range(basis.dim) for i in range(basis.dim) if e[j] > e[i]],
          params.gamma_cav),
         ("electron_out", dense_oracle.extraction_operator(space),
-         [(j, i) for j in one_el for i in basis.s_levels], params.gamma_out),
+         [(j, i) for j in one_el for i in empty], params.gamma_out),
         ("electron_in", dense_oracle.injection_operator(space),
-         [(j, i) for j in basis.s_levels for i in one_el
+         [(j, i) for j in empty for i in one_el
           if gate_open(params.mu + e[j] - e[i])], params.gamma_in),
     ):
         elems = v.conj().T @ op @ v

@@ -3,9 +3,15 @@ import pytest
 from pytest import approx
 
 import dense_oracle
-from dense_oracle import basis_state, ground_photon_number, number_electron, parity
+from dense_oracle import (
+    basis_state,
+    electron_numbers,
+    ground_photon_number,
+    number_electron,
+    parity,
+)
 from electrolum.hilbert import ModelSpace, SystemParams
-from electrolum.rabi import DressedBasis, dressed_basis, hamiltonian
+from electrolum.rabi import BlockHamiltonian, DressedBasis, dressed_basis, hamiltonian
 from electrolum.spectrum import emission_line_centers
 
 
@@ -58,7 +64,7 @@ class TestHamiltonian:
         space = ModelSpace(5)
         ladder = np.arange(space.n_photon, dtype=float)
         h = hamiltonian(SystemParams(eta=0.1), space)
-        assert np.array_equal(h.empty, ladder)
+        assert BlockHamiltonian._fields == ("chains",)  # the ladder is not stored
         basis = dressed_basis(h, space)
         assert np.array_equal(basis.energies[list(basis.s_levels)], ladder)
 
@@ -91,6 +97,14 @@ class TestDressedBasis:
         with pytest.raises(ValueError, match="does not match the space"):
             dressed_basis(hamiltonian(params, ModelSpace(3)), ModelSpace(4))
 
+    def test_stores_no_bare_matrix(self):
+        # the chains and s_levels fix every eigenvector: states is derived on each read
+        assert DressedBasis._fields == ("space", "energies", "s_levels", "index_ground",
+                                        "index_minus", "index_plus", "chains")
+        basis, _ = basis_for(0.3)
+        assert basis.states is not basis.states
+        assert np.array_equal(basis.states, basis.states)
+
     def test_uncoupled_resonant_levels(self):
         basis, _ = basis_for(0.0)
         centers = emission_line_centers(basis)
@@ -119,13 +133,12 @@ class TestDressedBasis:
             assert np.abs(basis.states[:, k]) == approx(
                 np.abs(basis_state(space, "s", n)), abs=1e-14
             )
-            assert basis.sector[k] == 0
+        assert np.flatnonzero(electron_numbers(basis) == 0).tolist() == sorted(basis.s_levels)
 
     def test_sector_block_structure(self):
         basis, space = basis_for(0.2)
         h = dense_oracle.hamiltonian(SystemParams(eta=0.2), space)
-        zero = np.flatnonzero(basis.sector == 0)
-        one = np.flatnonzero(basis.sector == 1)
+        zero, one = (np.flatnonzero(electron_numbers(basis) == n) for n in (0, 1))
         cross = basis.states[:, zero].conj().T @ h @ basis.states[:, one]
         assert np.max(np.abs(cross)) < 1e-14
 
@@ -133,7 +146,7 @@ class TestDressedBasis:
     def test_parity_good_quantum_number(self, eta):
         basis, space = basis_for(eta)
         pi = parity(space)
-        for k in np.flatnonzero(basis.sector == 1):
+        for k in np.flatnonzero(electron_numbers(basis) == 1):
             v = basis.states[:, k]
             expect = np.real(v.conj() @ pi @ v)
             assert abs(abs(expect) - 1.0) < 1e-10
@@ -148,7 +161,7 @@ class TestDressedBasis:
     @pytest.mark.parametrize("eta", [0.0, 0.05, 0.2])
     def test_labels_are_lowest_one_electron_levels(self, eta):
         basis, _ = basis_for(eta)
-        one_el = np.flatnonzero(basis.sector == 1)
+        one_el = np.flatnonzero(electron_numbers(basis) == 1)
         assert basis.index_ground == one_el[0]
         assert {basis.index_minus, basis.index_plus} == set(one_el[1:3])
         centers = emission_line_centers(basis)

@@ -183,6 +183,32 @@ print(json.dumps(calls))
             "build_system": systems, "line_windows": systems if mode == "sweep" else 0}
 
 
+def test_run_path_builds_no_bare_basis(monkeypatch):
+    # the run path reads every dressed element off the parity chains, so it
+    # never builds DressedBasis.states, the one user of ModelSpace.index
+    from electrolum import SystemParams, build_system, cli
+    from electrolum.hilbert import ModelSpace
+
+    calls = []
+    index = ModelSpace.index
+
+    def counting(self, *args):
+        calls.append(args)
+        return index(self, *args)
+
+    monkeypatch.setattr(ModelSpace, "index", counting)
+    for mode in ("absolute", "omega_G", "omega_G_plus_omega_plus"):
+        system = build_system(SystemParams(eta=0.1, mu=0.5), n_max=4, mu_mode=mode)
+        system.line_fluxes()
+        system.rate_model_fluxes()
+        system.analytic_fluxes()
+        system.emission_spectrum([0.9, 1.0, 1.1])
+        cli.window_line_fluxes(system)
+    assert calls == []
+    _ = system.basis.states  # the counter sees the bare-basis reader
+    assert len(calls) == system.basis.dim
+
+
 def test_package_exports_are_their_owners_objects():
     script = """
 import sys

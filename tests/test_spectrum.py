@@ -62,6 +62,8 @@ class TestEmissionSpectrum:
             Spectrum(omegas=np.array([1.0, 0.5]), values=np.zeros(2))
         with pytest.raises(ValueError, match="ascending"):
             Spectrum(np.array([0.5, 1.0, 1.0]), np.zeros(3))
+        with pytest.raises(ValueError, match="ascending"):
+            Spectrum(np.array([0.9, np.nan, 1.1]), np.zeros(3))
 
     def test_metadata_is_a_new_empty_dict_each_read(self):
         spec = Spectrum(np.linspace(0.0, 1.0, 3), np.zeros(3))
