@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the command line's start-up and each layer of a system build, per source tree.
+"""Time the command line's start-up, its compute-bound runs and each build layer, per tree.
 
 Usage, from the root of a checkout:
 
@@ -8,7 +8,7 @@ Usage, from the root of a checkout:
 Each ``--tree`` is an ``electrolum`` source directory (default: this
 checkout's ``src``).  Every process is a fresh interpreter with the tree
 first on its path; in each round the trees take turns, the order
-reversed every other round.  The record has two parts per tree:
+reversed every other round.  The record has three parts per tree:
 
 * ``startup``: after one untimed run each, the wall time of the
   benchmark's set-up probe (``SETUP_PROBE`` of ``perfbench/run.py``) and
@@ -22,6 +22,12 @@ reversed every other round.  The record has two parts per tree:
   module and the cumulative time of ``electrolum.cli`` and of each
   module that validation does not need (``NOT_FOR_VALIDATION``) where
   one is loaded.
+* ``compute``: after one untimed run each, the wall time of a
+  ``--mode spectrum`` run and a ``--mode sweep`` run on the inputs
+  ``COMPUTE_INPUTS``, large enough that computation, not start-up,
+  dominates.  The first tree also runs a second time each round, as an
+  A/A copy, and ``aa_ratio`` holds per command the copy's median over
+  the first tree's: how far apart two medians of identical code fall.
 * ``layers``: one :func:`layer_worker` per round, which times each layer
   of a system build ``REPEATS`` times in process, for every n_max of
   ``N_MAX``, eta of ``ETAS`` and both symbolic bias points, and keeps
@@ -35,7 +41,7 @@ reversed every other round.  The record has two parts per tree:
 
 Each part has its own rounds and BLAS thread count (module constants),
 both written to ``--out`` next to the host, Python, numpy, the BLAS
-library, the sweep input and whether ``PYTHONDONTWRITEBYTECODE`` is set.
+library, the inputs and whether ``PYTHONDONTWRITEBYTECODE`` is set.
 No ``perfbench/`` file is changed.  This is a measurement script, not a
 test.
 """
@@ -71,6 +77,14 @@ SEED = 1
 # modules that validating a configuration does not need
 NOT_FOR_VALIDATION = ("dataclasses", "inspect", "argparse", "numpy")
 
+COMPUTE_ROUNDS = 10
+COMPUTE_BLAS_THREADS = 1
+COMPUTE_INPUTS = {
+    "spectrum": {"eta": 1.0, "n_max": 128},
+    "sweep": {"eta": 0.1, "n_max": 32,
+              "sweep": {"variable": "eta", "values": [k / 200 for k in range(1, 201)]}},
+}
+
 LAYER_ROUNDS = 10
 LAYER_BLAS_THREADS = 1
 REPEATS = 5
@@ -83,7 +97,7 @@ LAYERS = ("hamiltonian", "dressed_basis", "all_channels", "build_liouvillian",
 
 
 def summary(samples) -> dict:
-    q1, _, q3 = statistics.quantiles(samples, n=4)
+    q1, _, q3 = statistics.quantiles(samples, n=4) if len(samples) > 1 else samples * 3
     return {"median": statistics.median(samples), "q1": q1, "q3": q3,
             "samples": samples}
 
@@ -118,34 +132,51 @@ def run(path, threads, argv, cwd=None):
     return wall, result.stdout, result.stderr
 
 
+def fresh_walls(runs, threads, commands, rounds, cwd) -> dict:
+    """``{label: {command: [wall s, ...]}}`` of fresh processes on the tree ``runs[label]``.
+
+    After one untimed run of each command per label, the labels take
+    turns for ``rounds`` rounds (:func:`alternated`), each running every
+    command of ``commands`` (name -> interpreter arguments) once.
+    """
+    for label in runs:
+        for argv in commands.values():
+            run([runs[label]], threads, argv, cwd)  # warm-up, not timed
+    walls = {label: {name: [] for name in commands} for label in runs}
+    for label in alternated(list(runs), rounds):
+        for name, argv in commands.items():
+            walls[label][name].append(run([runs[label]], threads, argv, cwd)[0])
+    return walls
+
+
+def cli_commands(work, inputs) -> dict:
+    """mode -> ``python -m electrolum`` arguments of that mode on ``work/<mode>.json``.
+
+    Each configuration file holds ``inputs[mode]``; the tables go to ``work/out``.
+    """
+    commands = {}
+    for mode, raw in inputs.items():
+        config = work / f"{mode}.json"
+        config.write_text(json.dumps(raw, indent=1))
+        commands[mode] = ["-m", "electrolum", "--config", str(config),
+                          "--out", str(work / "out"), "--mode", mode]
+    return commands
+
+
 def startup(trees, probe, raw) -> dict:
     """Per tree: set-up probe and sweep wall times, and their import breakdown."""
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        config = work / "input.json"
-        config.write_text(json.dumps(raw, indent=1))
-        commands = {
-            "setup": ["-c", probe, str(config)],
-            "sweep": ["-m", "electrolum", "--config", str(config),
-                      "--out", str(work / "out"), "--mode", "sweep"],
-        }
-
-        def once(label, name, *flags):
-            return run([trees[label]], STARTUP_BLAS_THREADS, [*flags, *commands[name]], work)
-
-        for label in trees:
-            for name in commands:
-                once(label, name)  # warm-up, not timed
-        walls = {label: {name: [] for name in commands} for label in trees}
-        for label in alternated(list(trees), STARTUP_ROUNDS):
-            for name in commands:
-                walls[label][name].append(once(label, name)[0])
+        commands = {"setup": ["-c", probe, str(work / "sweep.json")],
+                    **cli_commands(work, {"sweep": raw})}
+        walls = fresh_walls(trees, STARTUP_BLAS_THREADS, commands, STARTUP_ROUNDS, work)
 
         results = {}
         for label in trees:
             imports = {}
             for name in commands:
-                runs = [import_ms(once(label, name, "-X", "importtime")[2])
+                runs = [import_ms(run([trees[label]], STARTUP_BLAS_THREADS,
+                                      ["-X", "importtime", *commands[name]], work)[2])
                         for _ in range(IMPORTTIME_RUNS)]
 
                 def median_ms(module, column):
@@ -166,6 +197,23 @@ def startup(trees, probe, raw) -> dict:
                               "sweep_wall_s": summary(walls[label]["sweep"]),
                               "importtime": imports}
     return results
+
+
+def compute(trees):
+    """(per tree, the :func:`summary` of each command's wall times; the A/A ratio of medians).
+
+    The first tree runs twice a round; the second run, labelled None, is its A/A copy.
+    """
+    first = next(iter(trees))
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        walls = fresh_walls({**trees, None: trees[first]}, COMPUTE_BLAS_THREADS,
+                            cli_commands(work, COMPUTE_INPUTS), COMPUTE_ROUNDS, work)
+    results = {label: {f"{name}_wall_s": summary(samples) for name, samples in per.items()}
+               for label, per in walls.items()}
+    again = results.pop(None)
+    return results, {name: again[name]["median"] / results[first][name]["median"]
+                     for name in again}
 
 
 def best_of(fn):
@@ -275,6 +323,7 @@ def main(argv=None) -> int:
     probe = run.SETUP_PROBE
     raw = load("workloads").WORKLOADS["sweep-n8"].make_input(random.Random(SEED))
     startup_results = startup(trees, probe, raw)
+    compute_results, compute_aa = compute(trees)
     layer_results, layer_resolution, identical = layers(trees)
 
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -284,7 +333,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "blas": {"library": blas.get("name"), "startup_threads": STARTUP_BLAS_THREADS,
-                 "layers_threads": LAYER_BLAS_THREADS},
+                 "compute_threads": COMPUTE_BLAS_THREADS, "layers_threads": LAYER_BLAS_THREADS},
         "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         "startup": {
             "what": "fresh-process wall time of the set-up probe and of one sweep-n8 CLI "
@@ -293,6 +342,19 @@ def main(argv=None) -> int:
             "importtime_runs": IMPORTTIME_RUNS,
             "seed": SEED,
             "sweep_input": raw,
+        },
+        "compute": {
+            "what": "fresh-process wall time of one CLI run per mode on inputs where "
+                    "computation dominates, alternated per round with an A/A copy of the "
+                    "first tree",
+            "rounds": COMPUTE_ROUNDS,
+            "inputs": COMPUTE_INPUTS,
+            "aa_ratio": {
+                "what": "per command, the median wall time of the A/A copy over that of "
+                        "the first tree, timed in the same rounds",
+                "tree": next(iter(trees)),
+                "median_ratio": compute_aa,
+            },
         },
         "layers": {
             "what": "in-process wall time of each layer of one system build, best of "
@@ -315,6 +377,7 @@ def main(argv=None) -> int:
             # no absolute path: a tree outside this checkout is known by its label
             "src": str(src.relative_to(ROOT)) if src.is_relative_to(ROOT) else None,
             "startup": startup_results[label],
+            "compute": compute_results[label],
             "layers": layer_results[label],
         } for label, src in trees.items()},
     }
@@ -323,8 +386,13 @@ def main(argv=None) -> int:
         result = startup_results[label]
         layer_total = sum(v["best_s"] for layer in layer_results[label].values()
                           for v in layer.values())
+        compute_s = ", ".join(f"{name} {value['median']:.3f}"
+                              for name, value in compute_results[label].items())
         print(f"{label}: setup_s {result['setup_s']['median']:.4f}, sweep_wall_s "
-              f"{result['sweep_wall_s']['median']:.4f}, best layer total {layer_total:.3f} s")
+              f"{result['sweep_wall_s']['median']:.4f}, compute {compute_s}, "
+              f"best layer total {layer_total:.3f} s")
+    print("A/A median ratio per compute command: " + ", ".join(
+        f"{name} {ratio:.3f}" for name, ratio in compute_aa.items()))
     print("A/A best_s ratio per layer: " + ", ".join(
         f"{layer} {lo:.2f}-{hi:.2f}" for layer, (lo, hi) in layer_resolution.items()))
     print(f"identical_results: {identical}")

@@ -25,9 +25,9 @@ lines (resolved parameters, package version) followed by a CSV header
 and full-precision rows, so a rerun with the same configuration is
 byte-identical and every value reparses exactly.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure (no
-unique stationary state, arithmetic overflow, or a non-finite value for
-a table, which is then not written).
+Exit codes: 0 success, 1 configuration or command-line usage error,
+2 numerical failure (no unique stationary state, arithmetic overflow, or
+a non-finite value for a table, which is then not written).
 
 Validation, ``--help`` and every configuration error import only the
 standard library, ``hilbert`` and ``settings``, and of the standard
@@ -357,6 +357,8 @@ def run_sweep(config: RunConfig, out_dir) -> Path:
         rows.append([value] + [x for _, fluxes in groups for x in fluxes(system)])
 
     notes = [f"sweep variable = {variable}"]
+    if variable == "eta" and config.mu_mode == "absolute":  # a mu sweep has it as a column
+        notes.insert(0, f"mu = {_format(config.base.mu)}")
     if config.methods["spectrum"]:
         notes.append(f"flux windows: +-{WINDOW_SCALE:g} line half-widths, exact integrals "
                      f"divided by the captured fraction {_format(window_capture(WINDOW_SCALE))}")
@@ -393,7 +395,10 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON configuration file")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--mode", required=True, choices=_RUNS)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as done:  # --help, or a usage error that argparse printed
+        return 1 if done.code else 0
 
     try:
         config = load_config(args.config)

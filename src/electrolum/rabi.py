@@ -29,25 +29,18 @@ from .hilbert import ModelSpace, SystemParams
 DEGENERACY_TOL = 1e-9
 
 
-class BlockHamiltonian(NamedTuple):
-    """H = a+a + omega_e |e><e| + eta (a + a+)(|e><g| + |g><e|).
+def hamiltonian(params: SystemParams, space: ModelSpace) -> tuple:
+    """H = a+a + omega_e |e><e| + eta (a + a+)(|e><g| + |g><e|), as two parity chains.
 
-    ``chains[p]`` is the ``(diagonal, off_diagonal)`` pair of the parity
-    chain p (0 even, 1 odd), whose sites are ``ModelSpace.chain_sites(p)``.
-    The empty sites |s,n> are not stored: H is diagonal there, with
-    energy n.  There is no element between blocks, so the form cannot
-    hold a Hamiltonian that mixes electron numbers or parities.
+    Item p (0 even, 1 odd) is the ``(diagonal, off_diagonal)`` pair of
+    parity chain p, whose sites are ``ModelSpace.chain_sites(p)``.  The
+    empty sites |s,n> are not stored: H is diagonal there, with energy n.
+    There is no element between blocks, so the form cannot hold a
+    Hamiltonian that mixes electron numbers or parities.
     """
-
-    chains: tuple
-
-
-def hamiltonian(params: SystemParams, space: ModelSpace) -> BlockHamiltonian:
-    """The coupled Hamiltonian as two parity chains."""
     k = np.arange(space.n_photon, dtype=float)
     hop = params.eta * np.sqrt(k[1:])
-    chains = tuple((k + params.omega_e * ((k + p) % 2), hop) for p in (0, 1))
-    return BlockHamiltonian(chains=chains)
+    return tuple((k + params.omega_e * ((k + p) % 2), hop) for p in (0, 1))
 
 
 class DressedBasis(NamedTuple):
@@ -56,11 +49,14 @@ class DressedBasis(NamedTuple):
     Stored: ``energies``, ascending globally; ``s_levels[n]``, the
     eigenindex of |s,n> (an exact bare state with energy n, since the
     zero-electron block is diagonal); ``index_ground`` / ``index_minus``
-    / ``index_plus``, the three lowest one-electron levels; and
-    ``chains[p]``, the pair ``(levels, vectors)`` of parity chain p:
-    column c of ``vectors`` is eigenstate ``levels[c]`` over the chain's
-    sites.  The chains and ``s_levels`` fix every eigenvector, so the
-    bare-basis matrix ``states`` is derived from them on each read.
+    / ``index_plus``, the three lowest one-electron levels (past the
+    level crossing, at eta ~ 0.434 for omega_e 1 and at every eta once
+    omega_e >= 2, "+" is the third-lowest level, in G's own chain, not
+    the upper polariton: ROADMAP item 20); and ``chains[p]``, the pair
+    ``(levels, vectors)`` of parity chain p: column c of ``vectors`` is
+    eigenstate ``levels[c]`` over the chain's sites.  The chains and
+    ``s_levels`` fix every eigenvector, so the bare-basis matrix
+    ``states`` is derived from them on each read.
     """
 
     space: ModelSpace
@@ -109,17 +105,17 @@ class DressedBasis(NamedTuple):
         return float(np.real(v.conj() @ rho @ v))
 
 
-def dressed_basis(h: BlockHamiltonian, space: ModelSpace) -> DressedBasis:
+def dressed_basis(chains: tuple, space: ModelSpace) -> DressedBasis:
     """Diagonalize each parity chain and attach level labels.
 
     Levels are built block by block (the empty sites, then the even and
     the odd chain) and then sorted by energy, ties keeping that order.
     """
     nph = space.n_photon
-    if any(len(diag) != nph for diag, _ in h.chains):
+    if any(len(diag) != nph for diag, _ in chains):
         raise ValueError("Hamiltonian dimension does not match the space")
     solved = [np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-              for diag, off in h.chains]
+              for diag, off in chains]
     ladder = np.arange(nph, dtype=float)  # |s,n> has energy n
     energies = np.concatenate([ladder] + [vals for vals, _ in solved])
     order = np.argsort(energies, kind="stable")
@@ -128,8 +124,6 @@ def dressed_basis(h: BlockHamiltonian, space: ModelSpace) -> DressedBasis:
     level[order] = np.arange(space.dim)
     # <n> of each level, for the -/+ tie-break
     photons = np.concatenate([ladder] + [ladder @ vecs**2 for _, vecs in solved])
-    chains = tuple((level[(1 + p) * nph:(2 + p) * nph], vecs)
-                   for p, (_, vecs) in enumerate(solved))
 
     index_ground, index_minus, index_plus = _order_low_triplet(
         np.sort(level[nph:]), energies[order], photons[order])
@@ -140,7 +134,8 @@ def dressed_basis(h: BlockHamiltonian, space: ModelSpace) -> DressedBasis:
         index_ground=int(index_ground),
         index_minus=int(index_minus),
         index_plus=int(index_plus),
-        chains=chains,
+        chains=tuple((level[(1 + p) * nph:(2 + p) * nph], vecs)
+                     for p, (_, vecs) in enumerate(solved)),
     )
 
 

@@ -34,20 +34,19 @@ from .liouvillian import SecularGenerator
 from .linalg import stationary_distribution
 from .rabi import DressedBasis
 
-# population vector order used throughout this module, and its indices
-STATE_ORDER = ("s0", "s1", "G", "plus", "minus")
+# indices of the population vector order (s0, s1, G, +, -) used throughout this module
 S0, S1, G, PLUS, MINUS = range(5)
 
 
 def five_levels(basis: DressedBasis) -> list:
-    """Eigenindices of the retained levels, in STATE_ORDER: the ends of ``basis.lines``."""
+    """Eigenindices of the retained levels (s0, s1, G, +, -): the ends of ``basis.lines``."""
     lines = basis.lines
     (s1, s0), (plus, ground) = lines["central"], lines["plus"]
     return [s0, s1, ground, plus, lines["minus"][0]]
 
 
 def extract_rates(lv: SecularGenerator, basis: DressedBasis) -> np.ndarray:
-    """Rates among the five retained levels: ``rates[to, from]`` in STATE_ORDER.
+    """Rates among the five retained levels: ``rates[to, from]`` over (s0, s1, G, +, -).
 
     The restriction of the system's dressed Pauli rate matrix to those
     levels.  Channels below the weight cut or closed by the
@@ -76,7 +75,7 @@ def rate_matrix(rates: np.ndarray) -> np.ndarray:
 
 
 def rate_steady_state(rates: np.ndarray) -> np.ndarray:
-    """Stationary populations in STATE_ORDER of a block or its generator (diagonal unread)."""
+    """Stationary populations (s0, s1, G, +, -) of a block or its generator (diagonal unread)."""
     return stationary_distribution(rates)
 
 

@@ -116,15 +116,15 @@ def hamiltonian(params, space) -> np.ndarray:
     )
 
 
-def assemble(h, space) -> np.ndarray:
-    """A block-form Hamiltonian of the package as a dense matrix in the bare basis.
+def assemble(chains, space) -> np.ndarray:
+    """The package's two parity chains as a dense Hamiltonian in the bare basis.
 
-    The form stores the two parity chains only; |s,n> gets its energy n here.
+    The chains hold the one-electron block only; |s,n> gets its energy n here.
     """
     m = np.zeros((space.dim, space.dim))
     empty = [space.index("s", n) for n in range(space.n_photon)]
     m[empty, empty] = np.arange(space.n_photon)
-    for p, (diag, off) in enumerate(h.chains):
+    for p, (diag, off) in enumerate(chains):
         sites = space.chain_sites(p)
         m[np.ix_(sites, sites)] = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     return m

@@ -2,7 +2,7 @@
 
 The harness is no test itself, so a renamed name in ``src/`` would break
 it silently.  Its layer worker runs here on this checkout, shrunk to
-n_max 2 and one repeat.
+n_max 2 and one repeat, and its compute part to one round at n_max 2.
 """
 
 import importlib.util
@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "scripts" / "bench.py"
 
 
 @pytest.fixture
@@ -63,3 +64,21 @@ def test_resolution_spans_the_aa_ratios(bench):
     assert first["a"]["hamiltonian"] == {"best_s": 1e-3, "median_s": 2e-3,
                                          "q1_s": 1e-3, "q3_s": 3e-3}
     assert bench.resolution(first, again) == dict.fromkeys(bench.LAYERS, [1.5, 3.0])
+
+
+def test_compute_times_each_command_with_an_aa_copy(bench):
+    bench.COMPUTE_ROUNDS = 1
+    bench.COMPUTE_INPUTS = {
+        "spectrum": {"eta": 1.0, "n_max": 2},
+        "sweep": {"eta": 0.1, "n_max": 2,
+                  "sweep": {"variable": "eta", "values": [0.1, 0.2, 0.3]}},
+    }
+    results, aa_ratio = bench.compute({"this": ROOT / "src"})
+    commands = {"spectrum_wall_s", "sweep_wall_s"}
+    assert set(results) == {"this"}
+    assert set(results["this"]) == set(aa_ratio) == commands
+    for summary in results["this"].values():
+        assert set(summary) == {"median", "q1", "q3", "samples"}
+        assert len(summary["samples"]) == 1
+        assert 0.0 < summary["q1"] == summary["median"] == summary["q3"]
+    assert all(math.isfinite(ratio) and ratio > 0.0 for ratio in aa_ratio.values())

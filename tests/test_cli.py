@@ -281,6 +281,15 @@ class TestRunSweep:
         metadata, _, _ = load_table(run_sweep(config, tmp_path))
         assert "mu_mode = absolute" in metadata
 
+    def test_eta_sweep_at_absolute_mu_records_mu(self, tmp_path):
+        # mu fixes every row of the table, so the metadata must carry it
+        config = validate_config({"eta": 0.1, "mu_mode": "absolute", "mu": 0.3, "n_max": 4,
+                                  "sweep": {"variable": "eta", "values": [0.05, 0.1]}})
+        metadata, _, _ = load_table(run_sweep(config, tmp_path))
+        notes = metadata[metadata.index("mu_mode = absolute") + 1:]
+        assert notes[:2] == ["mu = 0.29999999999999999", "sweep variable = eta"]
+        assert float(notes[0].split(" = ")[1]) == 0.3
+
     def test_flux_window_line_only_with_window_columns(self, tmp_path):
         for spectrum_on in (False, True):
             config = sweep_config("eta", {"spectrum": spectrum_on})
@@ -428,6 +437,21 @@ class TestMain:
                         "--mode", "sweep")
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "sweep.csv").is_file()
+
+    @pytest.mark.parametrize("mode", [None, "bogus"], ids=["no_mode", "unknown_mode"])
+    def test_usage_error_exit_one(self, tmp_path, capsys, mode):
+        # exit 2 is a numerical failure, so argparse's own code 2 must not leak out
+        argv = ["--config", str(write_config(tmp_path, {"eta": 0.1}))]
+        argv += ["--mode", mode] if mode else []
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: electrolum ")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+    def test_help_exit_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: electrolum ")
 
     @pytest.mark.parametrize("blocker", ["table_is_a_directory", "out_is_a_file"])
     def test_unwritable_table_exit_one(self, tmp_path, capsys, blocker):

@@ -215,7 +215,7 @@ class TestRateSteadyState:
 
 class TestFluxes:
     def test_no_photon_population_no_central_flux(self):
-        pops = np.array([0.5, 0.0, 0.5, 0.0, 0.0])  # STATE_ORDER
+        pops = np.array([0.5, 0.0, 0.5, 0.0, 0.0])  # (s0, s1, G, +, -)
         rates = rate_block({(S0, S1): 1.0, (G, PLUS): 0.5, (G, MINUS): 0.5})
         f_c, f_p, f_m = fluxes(pops, rates)
         assert f_c == 0.0 and f_p == 0.0 and f_m == 0.0
