@@ -162,11 +162,9 @@ def all_channels(basis: DressedBasis, params) -> BathRates:
 def x_pm(basis: DressedBasis):
     """Energy-ordered split of the quadrature: X^- lowers, X^+ = (X^-)^dagger.
 
-    X^- = sum_{E_j > E_i} <i|X|j> |i><j|, returned as matrices in the
-    bare basis.  X^- + X^+ differs from X only on degenerate pairs and
-    the diagonal, both of which carry zero quadrature weight here.
+    X^- = sum_{E_j > E_i} <i|X|j> |i><j|, returned as matrices over the
+    dressed levels.  X^- + X^+ differs from X only on degenerate pairs
+    and the diagonal, both of which carry zero quadrature weight here.
     """
-    lower = np.where(_downward(basis), quadrature_elements(basis), 0.0)
-    v = basis.states
-    x_minus = v @ lower @ v.T
+    x_minus = np.where(_downward(basis), quadrature_elements(basis), 0.0)
     return x_minus, x_minus.T

@@ -1,4 +1,4 @@
-"""Composite Hilbert space {|s>, |g>, |e>} x Fock(n_max) and the system parameters.
+"""Size of the space {|s>, |g>, |e>} x Fock(n_max), and the system parameters.
 
 Conventions, used everywhere in the package:
 
@@ -8,8 +8,9 @@ Conventions, used everywhere in the package:
   orbital, ``e`` electron in the upper orbital.  Double occupancy is
   excluded (Coulomb blockade), so one label is the whole electronic
   space.
-* Flat basis index = electronic_index * (n_max + 1) + n with the
-  electronic order (s, g, e).
+* The package works over the 3 (n_max + 1) dressed levels and lays out
+  no bare basis; the flat bare index that the dense test oracle uses is
+  defined there (``tests/dense_oracle.py``).
 
 This module imports no numpy, and its records are ``typing.NamedTuple``
 subclasses, so nothing beyond ``math``, ``operator`` and ``typing``: the
@@ -26,15 +27,13 @@ import math
 import operator
 from typing import NamedTuple
 
-ELECTRONIC_LABELS = ("s", "g", "e")
-
 
 class _ModelSpaceFields(NamedTuple):
     n_max: int
 
 
 class ModelSpace(_ModelSpaceFields):
-    """Basis bookkeeping for the truncated photon ladder over three electronic states."""
+    """Size of the truncated photon ladder over three electronic states."""
 
     __slots__ = ()
 
@@ -53,24 +52,6 @@ class ModelSpace(_ModelSpaceFields):
     @property
     def dim(self) -> int:
         return 3 * (self.n_max + 1)
-
-    def index(self, label: str, n: int) -> int:
-        """Flat basis index of |label, n>."""
-        if label not in ELECTRONIC_LABELS:
-            raise ValueError(f"unknown electronic label {label!r}")
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"photon number {n} outside [0, {self.n_max}]")
-        return ELECTRONIC_LABELS.index(label) * self.n_photon + n
-
-    def chain_sites(self, parity: int) -> list[int]:
-        """Flat indices of the sites of excitation-parity chain ``parity``.
-
-        Site k holds k photons, on |g> when k + parity is even and on |e>
-        otherwise: |g,0>, |e,1>, |g,2>, ... for parity 0 and |e,0>,
-        |g,1>, |e,2>, ... for parity 1.
-        """
-        labels = ("g", "e") if parity % 2 == 0 else ("e", "g")
-        return [self.index(labels[k % 2], k) for k in range(self.n_photon)]
 
 
 class _SystemParamsFields(NamedTuple):

@@ -76,7 +76,8 @@ def stationary_distribution(rates) -> np.ndarray:
     if classes != 1:
         raise NullSpaceError(
             f"no unique stationary state: the rate graph has {classes} closed "
-            "classes (is the channel graph connected, e.g. gamma_in > 0?)"
+            "classes (no electron can enter from |s,0> or leave the one-electron "
+            "ground level; open one: gamma_in > 0 with mu >= omega_G, or gamma_out > 0)"
         )
     members = np.flatnonzero(reach[recurrent[0]])
 

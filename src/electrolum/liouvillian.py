@@ -70,19 +70,12 @@ def steady_state(lv: SecularGenerator) -> np.ndarray:
     reads the out-rates as the column sums of the off-diagonal rates,
     which is what ``lv.out_rates`` holds.  A unique stationary state
     leaves at most one level with zero out-rate, so every coherence
-    decays and the stationary state is diagonal in the dressed basis
-    (see :func:`density_operator`).  More than one closed class in the
+    decays and the stationary state is diag(p) in the dressed basis
+    (``DressedSystem.rho_ss``).  More than one closed class in the
     rate graph (for example with the electron channels switched off)
     raises ``linalg.NullSpaceError``.
     """
     return stationary_distribution(lv.rates)
-
-
-def density_operator(basis, populations: np.ndarray) -> np.ndarray:
-    """V diag(p) V^T: the state with dressed populations p, in the bare basis."""
-    v = basis.states  # built from the chains on each read
-    rho = (v * populations) @ v.T
-    return 0.5 * (rho + rho.T)
 
 
 # physicality bounds of check_density_operator

@@ -28,12 +28,7 @@ import numpy as np
 
 from . import dissipators, ratemodel, spectrum as spectrum_mod
 from .hilbert import ModelSpace, SystemParams
-from .liouvillian import (
-    SecularGenerator,
-    build_liouvillian,
-    density_operator,
-    steady_state,
-)
+from .liouvillian import SecularGenerator, build_liouvillian, steady_state
 from .rabi import DressedBasis, dressed_basis, hamiltonian
 from .settings import DEFAULT_N_MAX, MU_MODES
 
@@ -58,11 +53,12 @@ class DressedSystem(NamedTuple):
 
     @property
     def rho_ss(self) -> np.ndarray:
-        """Stationary density operator in the bare basis, built on each read."""
-        return density_operator(self.basis, self.populations)
+        """Stationary density operator over the dressed levels: diag(populations)."""
+        return np.diag(self.populations)
 
     @property
     def x_pm(self):
+        """X^- and X^+ over the dressed levels (``dissipators.x_pm``)."""
         return dissipators.x_pm(self.basis)
 
     def line_fluxes(self):

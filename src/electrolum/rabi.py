@@ -33,8 +33,9 @@ def hamiltonian(params: SystemParams, space: ModelSpace) -> tuple:
     """H = a+a + omega_e |e><e| + eta (a + a+)(|e><g| + |g><e|), as two parity chains.
 
     Item p (0 even, 1 odd) is the ``(diagonal, off_diagonal)`` pair of
-    parity chain p, whose sites are ``ModelSpace.chain_sites(p)``.  The
-    empty sites |s,n> are not stored: H is diagonal there, with energy n.
+    parity chain p, whose site k holds k photons, on |g> when k + p is
+    even and on |e> otherwise.  The empty sites |s,n> are not stored: H
+    is diagonal there, with energy n.
     There is no element between blocks, so the form cannot hold a
     Hamiltonian that mixes electron numbers or parities.
     """
@@ -55,8 +56,9 @@ class DressedBasis(NamedTuple):
     the upper polariton: ROADMAP item 20); and ``chains[p]``, the pair
     ``(levels, vectors)`` of parity chain p: column c of ``vectors`` is
     eigenstate ``levels[c]`` over the chain's sites.  The chains and
-    ``s_levels`` fix every eigenvector, so the bare-basis matrix
-    ``states`` is derived from them on each read.
+    ``s_levels`` fix every eigenvector.  The package works in this basis
+    throughout and never lays the levels out over the bare (s, g, e) x
+    Fock states; only the tests' dense oracle does.
     """
 
     space: ModelSpace
@@ -66,16 +68,6 @@ class DressedBasis(NamedTuple):
     index_minus: int
     index_plus: int
     chains: tuple
-
-    @property
-    def states(self) -> np.ndarray:
-        """Real eigenvectors as columns in the bare basis, built on each read."""
-        space = self.space
-        v = np.zeros((space.dim, space.dim))
-        v[[space.index("s", n) for n in range(space.n_photon)], list(self.s_levels)] = 1.0
-        for p, (levels, vectors) in enumerate(self.chains):
-            v[np.ix_(space.chain_sites(p), levels)] = vectors
-        return v
 
     @property
     def omega_ground(self) -> float:
@@ -100,9 +92,8 @@ class DressedBasis(NamedTuple):
                 "plus": (self.index_plus, g)}
 
     def population(self, rho: np.ndarray, k: int) -> float:
-        """<k| rho |k> for a density operator in the bare basis."""
-        v = self.states[:, k]
-        return float(np.real(v.conj() @ rho @ v))
+        """<k| rho |k>, read off a density operator over the dressed levels."""
+        return float(np.real(rho[k, k]))
 
 
 def dressed_basis(chains: tuple, space: ModelSpace) -> DressedBasis:

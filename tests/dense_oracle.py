@@ -1,11 +1,18 @@
 """Dense references the production path is tested against.
 
+The package works over the dressed levels only; this module owns the
+bare (s, g, e) x Fock layout: |label, n> sits at flat index
+``ELECTRONIC_LABELS.index(label) * (n_max + 1) + n`` (``index``), the
+parity chains sit at ``chain_sites``, and ``states(basis)`` lays the
+dressed levels out as the columns of V.  ``to_bare`` takes a matrix
+over the dressed levels (``rho_ss`` = diag(p), X^-) to V m V^T.
+
 The bare operators and the Hamiltonian are built here as dense complex
 matrices from Kronecker products, with no use of the parity chains the
 package diagonalizes.  The Lindblad generator works on the full
 D^2 x D^2 superoperator in the bare basis and makes no use of the block
 structure the package exploits.
-Each jump operator is rebuilt from the columns of ``basis.states`` as
+Each jump operator is rebuilt from the columns of ``states(basis)`` as
 |to><from|; nothing is read from ``SecularGenerator``.  The kernel is
 taken with an SVD (``null_vector``), not with the production GTH
 reduction, which only applies to real rate generators.
@@ -30,16 +37,57 @@ import warnings
 import numpy as np
 import scipy.linalg as sla
 
-from electrolum.hilbert import ELECTRONIC_LABELS
 from electrolum.linalg import LinalgError, NullSpaceError
 
 # absolute floor of the kernel tolerances of null_vector
 ABS_FLOOR = 1e-14
 
+ELECTRONIC_LABELS = ("s", "g", "e")
+
+
+def index(space, label: str, n: int) -> int:
+    """Flat bare-basis index of |label, n>."""
+    if label not in ELECTRONIC_LABELS:
+        raise ValueError(f"unknown electronic label {label!r}")
+    if not 0 <= n <= space.n_max:
+        raise ValueError(f"photon number {n} outside [0, {space.n_max}]")
+    return ELECTRONIC_LABELS.index(label) * space.n_photon + n
+
+
+def chain_sites(space, chain: int) -> list[int]:
+    """Flat indices of the sites of excitation-parity chain ``chain``.
+
+    Site k holds k photons, on |g> when k + chain is even and on |e>
+    otherwise: |g,0>, |e,1>, |g,2>, ... for chain 0 and |e,0>, |g,1>,
+    |e,2>, ... for chain 1.
+    """
+    labels = ("g", "e") if chain % 2 == 0 else ("e", "g")
+    return [index(space, labels[k % 2], k) for k in range(space.n_photon)]
+
+
+def states(basis) -> np.ndarray:
+    """V: the real dressed eigenvectors as columns over the bare basis.
+
+    |s,n> is level ``basis.s_levels[n]``, and each chain's eigenvectors
+    fill the columns of its levels over ``chain_sites``.
+    """
+    space = basis.space
+    v = np.zeros((space.dim, space.dim))
+    v[[index(space, "s", n) for n in range(space.n_photon)], list(basis.s_levels)] = 1.0
+    for p, (levels, vectors) in enumerate(basis.chains):
+        v[np.ix_(chain_sites(space, p), levels)] = vectors
+    return v
+
+
+def to_bare(basis, m: np.ndarray) -> np.ndarray:
+    """V m V^T: a matrix over the dressed levels, in the bare basis."""
+    v = states(basis)
+    return v @ m @ v.T
+
 
 def basis_state(space, label: str, n: int) -> np.ndarray:
     v = np.zeros(space.dim, dtype=complex)
-    v[space.index(label, n)] = 1.0
+    v[index(space, label, n)] = 1.0
     return v
 
 
@@ -66,7 +114,7 @@ def number_electron(space) -> np.ndarray:
 
 def electron_numbers(basis) -> np.ndarray:
     """Electron number <k|N|k> of every dressed level, rounded to 0 or 1."""
-    n = np.diag(number_electron(basis.space)).real @ basis.states**2
+    n = np.diag(number_electron(basis.space)).real @ states(basis)**2
     return np.rint(n).astype(int)
 
 
@@ -78,7 +126,7 @@ def number_photon(space) -> np.ndarray:
 
 def ground_photon_number(basis, space) -> float:
     """<G| a^dagger a |G>: bound photons in the dressed ground state."""
-    g = basis.states[:, basis.index_ground]
+    g = states(basis)[:, basis.index_ground]
     return float(np.real(g.conj() @ number_photon(space) @ g))
 
 
@@ -122,10 +170,10 @@ def assemble(chains, space) -> np.ndarray:
     The chains hold the one-electron block only; |s,n> gets its energy n here.
     """
     m = np.zeros((space.dim, space.dim))
-    empty = [space.index("s", n) for n in range(space.n_photon)]
+    empty = [index(space, "s", n) for n in range(space.n_photon)]
     m[empty, empty] = np.arange(space.n_photon)
     for p, (diag, off) in enumerate(chains):
-        sites = space.chain_sites(p)
+        sites = chain_sites(space, p)
         m[np.ix_(sites, sites)] = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     return m
 
@@ -159,7 +207,8 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 def jump_operator(basis, to_index: int, from_index: int) -> np.ndarray:
     """|to><from| of one channel, in the bare basis."""
-    return np.outer(basis.states[:, to_index], basis.states[:, from_index].conj())
+    v = states(basis)
+    return np.outer(v[:, to_index], v[:, from_index].conj())
 
 
 def summed_rates(channels) -> np.ndarray:
@@ -184,8 +233,8 @@ def liouvillian(h: np.ndarray, basis, rates: np.ndarray) -> np.ndarray:
     if not to.size:
         return mat
     weights = rates[to, frm]
-    v_to = basis.states[:, to]
-    v_from = basis.states[:, frm]
+    v = states(basis)
+    v_to, v_from = v[:, to], v[:, frm]
     w_to = np.stack([np.kron(u.conj(), u) for u in v_to.T], axis=1)
     w_from = np.stack([np.kron(u.conj(), u) for u in v_from.T], axis=1)
     mat += (w_to * weights) @ w_from.conj().T
@@ -198,6 +247,33 @@ def liouvillian(h: np.ndarray, basis, rates: np.ndarray) -> np.ndarray:
 def system_liouvillian(system) -> np.ndarray:
     return liouvillian(hamiltonian(system.params, system.basis.space), system.basis,
                        summed_rates(system.channels))
+
+
+def dissipator(jump: np.ndarray) -> np.ndarray:
+    """D[A](rho) = A rho A^dagger - (A^dagger A rho + rho A^dagger A) / 2 as a superoperator."""
+    eye = np.eye(jump.shape[0])
+    ada = jump.conj().T @ jump
+    return np.kron(jump.conj(), jump) - 0.5 * (np.kron(eye, ada) + np.kron(ada.T, eye))
+
+
+def ladder_grouped_liouvillian(system) -> np.ndarray:
+    """``system_liouvillian`` with the empty ladder grouped into one damped oscillator.
+
+    Every rung |s,n> -> |s,n-1> emits at exactly omega = 1, so the
+    secular master equation groups them into one jump: the rank-one
+    jumps among the empty levels (found from the bare electron number)
+    are replaced by sqrt(gamma_cav) a on the empty sector, and every
+    other channel stays rank-one (ROADMAP items 9 and 22).  The
+    populations obey the same rate equation; the coherence
+    |s,n-1><s,n| is fed from |s,n><s,n+1| and decays at gamma_cav / 2.
+    """
+    space = system.basis.space
+    rates = summed_rates(system.channels)
+    empty = np.flatnonzero(electron_numbers(system.basis) == 0)
+    rates[np.ix_(empty, empty)] = 0.0
+    ladder = np.sqrt(system.params.gamma_cav) * (transition(space, "s", "s") @ annihilation(space))
+    return (liouvillian(hamiltonian(system.params, space), system.basis, rates)
+            + dissipator(ladder))
 
 
 def apply(mat: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -240,7 +240,7 @@ def test_criterion_5_physicality(runs, dense_generator):
     worst = {"trace_error": 0.0, "hermiticity_defect": 0.0,
              "min_eigenvalue": 0.0, "max_real_part": -np.inf}
     for name, system in runs.systems.items():
-        rep = check_density_operator(system.rho_ss)
+        rep = check_density_operator(dense_oracle.to_bare(system.basis, system.rho_ss))
         worst["trace_error"] = max(worst["trace_error"], rep["trace_error"])
         worst["hermiticity_defect"] = max(worst["hermiticity_defect"],
                                           rep["hermiticity_defect"])

@@ -586,6 +586,14 @@ REFUSALS = [
             {"eta": 0.1, "gamma_in": 0.0, "gamma_out": 0.0, "n_max": 2,
              "grid": {"min": 0.9, "max": 1.1, "points": 11}},
             "spectrum", 2, "no unique stationary state"),
+    # extraction off and |s,0> gated shut (mu below omega_G): the electron
+    # can neither enter from |s,0> nor leave |G>, though gamma_in > 0
+    Refusal("injection_shut_no_extraction",
+            {"eta": 0.1, "gamma_out": 0.0, "mu_mode": "absolute", "mu": -1.0, "n_max": 2,
+             "grid": {"min": 0.9, "max": 1.1, "points": 11}},
+            "spectrum", 2, "no unique stationary state: the rate graph has 2 closed classes "
+            "(no electron can enter from |s,0> or leave the one-electron ground level; "
+            "open one: gamma_in > 0 with mu >= omega_G, or gamma_out > 0)\n"),
     # line widths past 1e154: their squares overflow in the spectrum
     *[Refusal(f"gamma_cav_{rate:g}", {"eta": 0.1, "gamma_cav": rate, "n_max": 2}, "spectrum", 2,
               "arithmetic overflow: ") for rate in (1e160, 1e300)],

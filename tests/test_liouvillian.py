@@ -30,7 +30,8 @@ def small_basis(n_max=2, eta=0.1):
 
 def dressed(basis, rho):
     """rho in the dressed basis."""
-    return basis.states.conj().T @ rho @ basis.states
+    v = dense_oracle.states(basis)
+    return v.conj().T @ rho @ v
 
 
 class TestGenerator:
@@ -40,7 +41,7 @@ class TestGenerator:
         assert lv.dim == basis.dim
         assert not lv.rates.any() and not lv.out_rates.any()
         dense = dense_oracle.liouvillian(h, basis, np.zeros((basis.dim, basis.dim)))
-        v = basis.states[:, 1]
+        v = dense_oracle.states(basis)[:, 1]
         drho = dense_oracle.apply(dense, np.outer(v, v.conj()))
         assert np.max(np.abs(drho)) == approx(0.0, abs=1e-14)
 
@@ -54,7 +55,7 @@ class TestGenerator:
         assert lv.rates[i, j] == approx(gamma)
         assert lv.out_rates[j] == approx(gamma)
         # the dense generator applied to |j><j| moves population j -> i
-        v = basis.states[:, j]
+        v = dense_oracle.states(basis)[:, j]
         drho = dressed(basis, dense_oracle.apply(
             dense_oracle.liouvillian(h, basis, rates), np.outer(v, v.conj())))
         assert np.real(drho[j, j]) == approx(-gamma)
@@ -87,7 +88,7 @@ class TestGenerator:
         # eigenoperator with eigenvalue -i(E_i - E_j) - (Gamma_i + Gamma_j)/2
         system, dense = _reference_generator()
         basis, lv = system.basis, system.lv
-        v = basis.states
+        v = dense_oracle.states(basis)
         p = rng.dirichlet(np.ones(lv.dim))
         drho = dressed(basis, dense_oracle.apply(dense, (v * p) @ v.conj().T))
         assert np.max(np.abs(drho - np.diag(dense_oracle.generator(lv.rates) @ p))) < 1e-13
@@ -152,7 +153,8 @@ class TestSteadyState:
         basis = system.basis
         assert basis.population(system.rho_ss, basis.s_levels[0]) == approx(0.5, abs=1e-9)
         assert basis.population(system.rho_ss, basis.index_ground) == approx(0.5, abs=1e-9)
-        photons = np.real(np.trace(dense_oracle.number_photon(basis.space) @ system.rho_ss))
+        rho = dense_oracle.to_bare(basis, system.rho_ss)
+        photons = np.real(np.trace(dense_oracle.number_photon(basis.space) @ rho))
         assert abs(photons) < 1e-12
 
     def test_reference_point_emittable_photon_number(self, low_bias_system):
@@ -165,7 +167,8 @@ class TestSteadyState:
 
     def test_stationarity_residual(self, low_bias_system, dense_generator):
         system = low_bias_system
-        residual = dense_oracle.apply(dense_generator(system), system.rho_ss)
+        rho = dense_oracle.to_bare(system.basis, system.rho_ss)
+        residual = dense_oracle.apply(dense_generator(system), rho)
         assert np.max(np.abs(residual)) < 1e-9
         p = system.populations
         assert np.max(np.abs(dense_oracle.generator(system.lv.rates) @ p)) < 1e-14 * np.max(system.lv.out_rates)
@@ -195,6 +198,21 @@ class TestSteadyState:
     def test_physicality(self, low_bias_system):
         report = check_density_operator(low_bias_system.rho_ss)
         assert report["ok"], report
+
+    @pytest.mark.parametrize("mu_mode", ["omega_G", "omega_G_plus_omega_plus"])
+    @pytest.mark.parametrize("eta", [0.1, 0.3])
+    def test_readers_over_the_dressed_levels(self, eta, mu_mode):
+        # rho_ss = diag(p) and X- live over the dressed levels; each reader
+        # gives what it gives on their bare images V rho V^T and V X- V^T
+        system = build_system(SystemParams(eta=eta), mu_mode=mu_mode)
+        basis, rho = system.basis, system.rho_ss
+        assert [basis.population(rho, k) for k in range(basis.dim)] == system.populations.tolist()
+        report = check_density_operator(rho)
+        assert report["ok"], report
+        x_minus = system.x_pm[0]
+        bare = quadrature_moment(dense_oracle.to_bare(basis, rho),
+                                 dense_oracle.to_bare(basis, x_minus))
+        assert quadrature_moment(rho, x_minus) == approx(bare, rel=1e-12, abs=0)
 
     def test_no_injection_no_extraction_is_ambiguous(self):
         system = build_system(SystemParams(eta=0.1, mu=0.2), mu_mode="absolute")
@@ -303,4 +321,5 @@ class TestSpectralStructure:
         for i, j in itertools.product(range(d), range(d)):
             perm[i * d + j, j * d + i] = 1.0
         rho_row = dense_oracle.steady_state(perm @ dense @ perm.T).T
-        assert np.max(np.abs(rho_row - system.rho_ss)) < 1e-10
+        rho = dense_oracle.to_bare(system.basis, system.rho_ss)
+        assert np.max(np.abs(rho_row - rho)) < 1e-10

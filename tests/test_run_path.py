@@ -183,30 +183,25 @@ print(json.dumps(calls))
             "build_system": systems, "line_windows": systems if mode == "sweep" else 0}
 
 
-def test_run_path_builds_no_bare_basis(monkeypatch):
-    # the run path reads every dressed element off the parity chains, so it
-    # never builds DressedBasis.states, the one user of ModelSpace.index
-    from electrolum import SystemParams, build_system, cli
+def test_run_path_builds_no_bare_basis():
+    # the package works over the dressed levels only: the bare (s, g, e) x
+    # Fock layout, its flat index and V are the dense oracle's
+    import numpy as np
+
+    from electrolum import SystemParams, build_system, hilbert, liouvillian
+    from electrolum.dissipators import quadrature_elements
     from electrolum.hilbert import ModelSpace
+    from electrolum.rabi import DressedBasis
 
-    calls = []
-    index = ModelSpace.index
-
-    def counting(self, *args):
-        calls.append(args)
-        return index(self, *args)
-
-    monkeypatch.setattr(ModelSpace, "index", counting)
-    for mode in ("absolute", "omega_G", "omega_G_plus_omega_plus"):
-        system = build_system(SystemParams(eta=0.1, mu=0.5), n_max=4, mu_mode=mode)
-        system.line_fluxes()
-        system.rate_model_fluxes()
-        system.analytic_fluxes()
-        system.emission_spectrum([0.9, 1.0, 1.1])
-        cli.window_line_fluxes(system)
-    assert calls == []
-    _ = system.basis.states  # the counter sees the bare-basis reader
-    assert len(calls) == system.basis.dim
+    assert not hasattr(DressedBasis, "states")
+    assert not hasattr(liouvillian, "density_operator")
+    assert ModelSpace.index is tuple.index  # the record's own, not a bare index
+    assert not hasattr(ModelSpace, "chain_sites")
+    assert not hasattr(hilbert, "ELECTRONIC_LABELS")
+    system = build_system(SystemParams(eta=0.1), n_max=4, mu_mode="omega_G")
+    assert np.array_equal(system.rho_ss, np.diag(system.populations))
+    x_minus, x_plus = system.x_pm
+    assert np.array_equal(x_minus + x_plus, quadrature_elements(system.basis))
 
 
 def test_package_exports_are_their_owners_objects():

@@ -203,13 +203,14 @@ class TestFluxConsistency:
         with an FFT; the two spectra must agree pointwise on the peak core.
         """
         system = low_bias_system
-        xm, xp = system.x_pm
+        xm, xp = (dense_oracle.to_bare(system.basis, m) for m in system.x_pm)
+        rho = dense_oracle.to_bare(system.basis, system.rho_ss)
         gamma_cav = system.params.gamma_cav
         vec = dense_oracle.vec
 
         evals, evecs = np.linalg.eig(dense_generator(system))
-        source = vec(xm @ system.rho_ss)
-        source -= vec(system.rho_ss) * np.trace(xm @ system.rho_ss)
+        source = vec(xm @ rho)
+        source -= vec(rho) * np.trace(xm @ rho)
         coeff = np.linalg.solve(evecs, source)
         amps = (vec(xp.T) @ evecs) * coeff
         keep = np.abs(amps) > 1e-12 * np.max(np.abs(amps))
