@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the command line's start-up, its compute-bound runs and each build layer, per tree.
+"""Time the command line's compute-bound runs and each build layer, per tree.
 
 Usage, from the root of a checkout:
 
@@ -8,20 +8,8 @@ Usage, from the root of a checkout:
 Each ``--tree`` is an ``electrolum`` source directory (default: this
 checkout's ``src``).  Every process is a fresh interpreter with the tree
 first on its path; in each round the trees take turns, the order
-reversed every other round.  The record has three parts per tree:
+reversed every other round.  The record has two parts per tree:
 
-* ``startup``: after one untimed run each, the wall time of the
-  benchmark's set-up probe (``SETUP_PROBE`` of ``perfbench/run.py``) and
-  of one ``python -m electrolum --mode sweep``, both on the input
-  ``perfbench/workloads.py`` draws for ``sweep-n8`` from ``SEED``.  The
-  untimed run pages the interpreter, numpy and the tree into the file
-  cache; it writes ``__pycache__`` byte code only where
-  ``PYTHONDONTWRITEBYTECODE`` is unset (the record says which), so with
-  it set every timed run compiles the tree's modules from source.  Then
-  ``-X importtime`` runs give the median self time of every electrolum
-  module and the cumulative time of ``electrolum.cli`` and of each
-  module that validation does not need (``NOT_FOR_VALIDATION``) where
-  one is loaded.
 * ``compute``: after one untimed run each, the wall time of a
   ``--mode spectrum`` run and a ``--mode sweep`` run on the inputs
   ``COMPUTE_INPUTS``, large enough that computation, not start-up,
@@ -39,6 +27,8 @@ reversed every other round.  The record has three parts per tree:
   cases of the two ``best_s`` of that identical code: a ratio between
   trees inside that range is not a measured difference.
 
+Start-up, which dominates a gated benchmark operation, is timed by the
+benchmark itself (``setup_s`` and ``wall_s`` of ``perfbench/run.py``).
 Each part has its own rounds and BLAS thread count (module constants),
 both written to ``--out`` next to the host, Python, numpy, the BLAS
 library, the inputs and whether ``PYTHONDONTWRITEBYTECODE`` is set.
@@ -52,7 +42,6 @@ import argparse
 import json
 import os
 import platform
-import random
 import statistics
 import subprocess
 import sys
@@ -64,18 +53,11 @@ import numpy
 
 # Importing this module must not touch sys.path: a layer worker imports
 # it with the tree under test first on its path, and main() alone puts
-# this checkout's src there.
+# this checkout's tests there.
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TIMEOUT_S = 1800
-
-STARTUP_ROUNDS = 30
-STARTUP_BLAS_THREADS = 2
-IMPORTTIME_RUNS = 5
-SEED = 1
-# modules that validating a configuration does not need
-NOT_FOR_VALIDATION = ("dataclasses", "inspect", "argparse", "numpy")
 
 COMPUTE_ROUNDS = 10
 COMPUTE_BLAS_THREADS = 1
@@ -100,17 +82,6 @@ def summary(samples) -> dict:
     q1, _, q3 = statistics.quantiles(samples, n=4) if len(samples) > 1 else samples * 3
     return {"median": statistics.median(samples), "q1": q1, "q3": q3,
             "samples": samples}
-
-
-def import_ms(stderr: str) -> dict:
-    """``{module: (self, cumulative)}`` in ms, as ``-X importtime`` lists them."""
-    times = {}
-    for line in stderr.splitlines():
-        if line.startswith("import time:") and "|" in line:
-            self_us, cumulative_us, name = line[len("import time:"):].split("|")
-            if self_us.strip().isdigit():
-                times[name.strip()] = (int(self_us) / 1000.0, int(cumulative_us) / 1000.0)
-    return times
 
 
 def alternated(labels, rounds):
@@ -161,42 +132,6 @@ def cli_commands(work, inputs) -> dict:
         commands[mode] = ["-m", "electrolum", "--config", str(config),
                           "--out", str(work / "out"), "--mode", mode]
     return commands
-
-
-def startup(trees, probe, raw) -> dict:
-    """Per tree: set-up probe and sweep wall times, and their import breakdown."""
-    with tempfile.TemporaryDirectory() as work:
-        work = Path(work)
-        commands = {"setup": ["-c", probe, str(work / "sweep.json")],
-                    **cli_commands(work, {"sweep": raw})}
-        walls = fresh_walls(trees, STARTUP_BLAS_THREADS, commands, STARTUP_ROUNDS, work)
-
-        results = {}
-        for label in trees:
-            imports = {}
-            for name in commands:
-                runs = [import_ms(run([trees[label]], STARTUP_BLAS_THREADS,
-                                      ["-X", "importtime", *commands[name]], work)[2])
-                        for _ in range(IMPORTTIME_RUNS)]
-
-                def median_ms(module, column):
-                    return statistics.median(r.get(module, (0.0, 0.0))[column] for r in runs)
-
-                own = sorted({m for r in runs for m in r
-                              if m == "electrolum" or m.startswith("electrolum.")})
-                self_ms = {m: median_ms(m, 0) for m in own}
-                # what the front door pulls in, and the modules it need not load
-                outside = ["electrolum.cli"] + sorted(
-                    {m for r in runs for m in r if m in NOT_FOR_VALIDATION})
-                imports[name] = {
-                    "electrolum_self_ms": self_ms,
-                    "electrolum_self_total_ms": sum(self_ms.values()),
-                    "cumulative_ms": {m: median_ms(m, 1) for m in outside},
-                }
-            results[label] = {"setup_s": summary(walls[label]["setup"]),
-                              "sweep_wall_s": summary(walls[label]["sweep"]),
-                              "importtime": imports}
-    return results
 
 
 def compute(trees):
@@ -316,13 +251,10 @@ def main(argv=None) -> int:
             parser.error(f"--tree {item!r}: expected LABEL=DIR with DIR/electrolum")
         trees[label] = src
 
-    sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "src")]  # workloads imports electrolum
+    sys.path.insert(0, str(ROOT / "tests"))
     from perfbench_files import load  # perfbench/<name>.py by path, unchanged
 
     run = load("run")
-    probe = run.SETUP_PROBE
-    raw = load("workloads").WORKLOADS["sweep-n8"].make_input(random.Random(SEED))
-    startup_results = startup(trees, probe, raw)
     compute_results, compute_aa = compute(trees)
     layer_results, layer_resolution, identical = layers(trees)
 
@@ -332,17 +264,9 @@ def main(argv=None) -> int:
                  "machine": platform.machine(), "load_avg_at_end": os.getloadavg()},
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "blas": {"library": blas.get("name"), "startup_threads": STARTUP_BLAS_THREADS,
-                 "compute_threads": COMPUTE_BLAS_THREADS, "layers_threads": LAYER_BLAS_THREADS},
+        "blas": {"library": blas.get("name"), "compute_threads": COMPUTE_BLAS_THREADS,
+                 "layers_threads": LAYER_BLAS_THREADS},
         "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
-        "startup": {
-            "what": "fresh-process wall time of the set-up probe and of one sweep-n8 CLI "
-                    "sweep, alternated per round; -X importtime self and cumulative times",
-            "rounds": STARTUP_ROUNDS,
-            "importtime_runs": IMPORTTIME_RUNS,
-            "seed": SEED,
-            "sweep_input": raw,
-        },
         "compute": {
             "what": "fresh-process wall time of one CLI run per mode on inputs where "
                     "computation dominates, alternated per round with an A/A copy of the "
@@ -376,21 +300,17 @@ def main(argv=None) -> int:
         "trees": {label: {
             # no absolute path: a tree outside this checkout is known by its label
             "src": str(src.relative_to(ROOT)) if src.is_relative_to(ROOT) else None,
-            "startup": startup_results[label],
             "compute": compute_results[label],
             "layers": layer_results[label],
         } for label, src in trees.items()},
     }
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     for label in trees:
-        result = startup_results[label]
         layer_total = sum(v["best_s"] for layer in layer_results[label].values()
                           for v in layer.values())
         compute_s = ", ".join(f"{name} {value['median']:.3f}"
                               for name, value in compute_results[label].items())
-        print(f"{label}: setup_s {result['setup_s']['median']:.4f}, sweep_wall_s "
-              f"{result['sweep_wall_s']['median']:.4f}, compute {compute_s}, "
-              f"best layer total {layer_total:.3f} s")
+        print(f"{label}: compute {compute_s}, best layer total {layer_total:.3f} s")
     print("A/A median ratio per compute command: " + ", ".join(
         f"{name} {ratio:.3f}" for name, ratio in compute_aa.items()))
     print("A/A best_s ratio per layer: " + ", ".join(

@@ -2,7 +2,8 @@
 
 The harness is no test itself, so a renamed name in ``src/`` would break
 it silently.  Its layer worker runs here on this checkout, shrunk to
-n_max 2 and one repeat, and its compute part to one round at n_max 2.
+n_max 2 and one repeat, and its compute part to one round at n_max 2;
+``main`` runs with both parts replaced by fixed results.
 """
 
 import importlib.util
@@ -82,3 +83,34 @@ def test_compute_times_each_command_with_an_aa_copy(bench):
         assert len(summary["samples"]) == 1
         assert 0.0 < summary["q1"] == summary["median"] == summary["q3"]
     assert all(math.isfinite(ratio) and ratio > 0.0 for ratio in aa_ratio.values())
+
+
+def test_main_records_compute_and_layers_only(bench, monkeypatch, tmp_path, capsys):
+    def compute(trees):
+        return ({label: {"sweep_wall_s": bench.summary([1.0, 2.0, 3.0])} for label in trees},
+                {"sweep_wall_s": 1.0})
+
+    def layers(trees):
+        per_round = [{"times": {"n2": dict.fromkeys(bench.LAYERS, 1e-3 * k)}}
+                     for k in (1.0, 2.0, 3.0)]
+        summary = bench.layer_summary(per_round)
+        return ({label: summary for label in trees}, bench.resolution(summary, summary), True)
+
+    monkeypatch.setattr(bench, "compute", compute)
+    monkeypatch.setattr(bench, "layers", layers)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.delitem(sys.modules, "perfbench_workloads", raising=False)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--out", str(out)]) == 0
+
+    record = json.loads(out.read_text())
+    assert set(record) == {"host", "python", "numpy", "blas", "pythondontwritebytecode",
+                           "compute", "layers", "trees"}
+    assert set(record["blas"]) == {"library", "compute_threads", "layers_threads"}
+    assert set(record["trees"]) == {"this"}
+    assert set(record["trees"]["this"]) == {"src", "compute", "layers"}
+    assert record["trees"]["this"]["src"] == "src"
+    assert record["compute"]["aa_ratio"]["median_ratio"] == {"sweep_wall_s": 1.0}
+    assert record["layers"]["identical_results"] is True
+    assert "perfbench_workloads" not in sys.modules
+    assert "identical_results: True" in capsys.readouterr().out
