@@ -7,25 +7,24 @@ Usage, from the root of a checkout:
 
 Each ``--tree`` is an ``electrolum`` source directory (default: this
 checkout's ``src``).  Every process is a fresh interpreter with the tree
-first on its path; in each round the trees take turns, the order
+first on its path; each round runs every tree once, in turn, the order
 reversed every other round.  The record has two parts per tree:
 
 * ``compute``: after one untimed run each, the wall time of a
   ``--mode spectrum`` run and a ``--mode sweep`` run on the inputs
   ``COMPUTE_INPUTS``, large enough that computation, not start-up,
-  dominates.  The first tree also runs a second time each round, as an
-  A/A copy, and ``aa_ratio`` holds per command the copy's median over
-  the first tree's: how far apart two medians of identical code fall.
+  dominates: the median and quartiles (``q1``, ``q3``) of the rounds.
 * ``layers``: one :func:`layer_worker` per round, which times each layer
   of a system build ``REPEATS`` times in process, for every n_max of
   ``N_MAX``, eta of ``ETAS`` and both symbolic bias points, and keeps
   the best.  The record holds the best over all rounds and the median
-  and quartiles of the per-round bests; ``identical_results`` says whether every worker
-  wrote the same spectrum and window fluxes, bit for bit.  Each round
-  also times the first tree a second time, as an A/A pair, and
-  ``resolution`` holds, per layer, the least and greatest ratio over
-  cases of the two ``best_s`` of that identical code: a ratio between
-  trees inside that range is not a measured difference.
+  and quartiles (``q1_s``, ``q3_s``) of the per-round bests;
+  ``identical_results`` says whether every worker wrote the same
+  spectrum and window fluxes, bit for bit.
+
+A difference between trees is read against the quartiles of their
+per-round samples: a median of one tree inside the other's quartiles is
+not a measured difference.
 
 Start-up, which dominates a gated benchmark operation, is timed by the
 benchmark itself (``setup_s`` and ``wall_s`` of ``perfbench/run.py``).
@@ -135,20 +134,13 @@ def cli_commands(work, inputs) -> dict:
 
 
 def compute(trees):
-    """(per tree, the :func:`summary` of each command's wall times; the A/A ratio of medians).
-
-    The first tree runs twice a round; the second run, labelled None, is its A/A copy.
-    """
-    first = next(iter(trees))
+    """Per tree, the :func:`summary` of each command's wall times."""
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        walls = fresh_walls({**trees, None: trees[first]}, COMPUTE_BLAS_THREADS,
+        walls = fresh_walls(trees, COMPUTE_BLAS_THREADS,
                             cli_commands(work, COMPUTE_INPUTS), COMPUTE_ROUNDS, work)
-    results = {label: {f"{name}_wall_s": summary(samples) for name, samples in per.items()}
-               for label, per in walls.items()}
-    again = results.pop(None)
-    return results, {name: again[name]["median"] / results[first][name]["median"]
-                     for name in again}
+    return {label: {f"{name}_wall_s": summary(samples) for name, samples in per.items()}
+            for label, per in walls.items()}
 
 
 def best_of(fn):
@@ -212,28 +204,16 @@ def layer_summary(per_round) -> dict:
     return results
 
 
-def resolution(first, again) -> dict:
-    """Per layer, [least, greatest] over cases of the A/A ratio ``again / first`` of best_s."""
-    ratios = {layer: [again[case][layer]["best_s"] / first[case][layer]["best_s"]
-                      for case in first] for layer in LAYERS}
-    return {layer: [min(r), max(r)] for layer, r in ratios.items()}
-
-
 def layers(trees):
-    """(per tree, :func:`layer_summary`; the A/A :func:`resolution`; identical_results).
-
-    The first tree runs twice a round; the second run, labelled None, is its A/A copy.
-    """
-    first = next(iter(trees))
-    runs = {label: [] for label in [*trees, None]}
-    for label in alternated(list(runs), LAYER_ROUNDS):
-        _, stdout, _ = run([trees[first if label is None else label], HERE],
-                           LAYER_BLAS_THREADS, ["-c", "import bench; bench.layer_worker()"])
+    """(per tree, :func:`layer_summary`; identical_results)."""
+    runs = {label: [] for label in trees}
+    for label in alternated(list(trees), LAYER_ROUNDS):
+        _, stdout, _ = run([trees[label], HERE], LAYER_BLAS_THREADS,
+                           ["-c", "import bench; bench.layer_worker()"])
         runs[label].append(json.loads(stdout))
     results = {label: layer_summary(per_round) for label, per_round in runs.items()}
     outputs = [r["results"] for per_round in runs.values() for r in per_round]
-    return (results, resolution(results[first], results.pop(None)),
-            all(r == outputs[0] for r in outputs))
+    return results, all(r == outputs[0] for r in outputs)
 
 
 def main(argv=None) -> int:
@@ -255,8 +235,8 @@ def main(argv=None) -> int:
     from perfbench_files import load  # perfbench/<name>.py by path, unchanged
 
     run = load("run")
-    compute_results, compute_aa = compute(trees)
-    layer_results, layer_resolution, identical = layers(trees)
+    compute_results = compute(trees)
+    layer_results, identical = layers(trees)
 
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     doc = {
@@ -269,16 +249,9 @@ def main(argv=None) -> int:
         "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         "compute": {
             "what": "fresh-process wall time of one CLI run per mode on inputs where "
-                    "computation dominates, alternated per round with an A/A copy of the "
-                    "first tree",
+                    "computation dominates, alternated between the trees per round",
             "rounds": COMPUTE_ROUNDS,
             "inputs": COMPUTE_INPUTS,
-            "aa_ratio": {
-                "what": "per command, the median wall time of the A/A copy over that of "
-                        "the first tree, timed in the same rounds",
-                "tree": next(iter(trees)),
-                "median_ratio": compute_aa,
-            },
         },
         "layers": {
             "what": "in-process wall time of each layer of one system build, best of "
@@ -290,12 +263,6 @@ def main(argv=None) -> int:
             "mu_mode": list(MODES),
             "grid_points": GRID_POINTS,
             "identical_results": identical,
-            "resolution": {
-                "what": "per layer, [min, max] over cases of best_s of an A/A copy of the "
-                        "first tree over best_s of the first tree, timed in the same rounds",
-                "tree": next(iter(trees)),
-                "best_s_ratio": layer_resolution,
-            },
         },
         "trees": {label: {
             # no absolute path: a tree outside this checkout is known by its label
@@ -308,13 +275,10 @@ def main(argv=None) -> int:
     for label in trees:
         layer_total = sum(v["best_s"] for layer in layer_results[label].values()
                           for v in layer.values())
-        compute_s = ", ".join(f"{name} {value['median']:.3f}"
-                              for name, value in compute_results[label].items())
+        compute_s = ", ".join(
+            f"{name} {value['median']:.3f} ({value['q1']:.3f}-{value['q3']:.3f})"
+            for name, value in compute_results[label].items())
         print(f"{label}: compute {compute_s}, best layer total {layer_total:.3f} s")
-    print("A/A median ratio per compute command: " + ", ".join(
-        f"{name} {ratio:.3f}" for name, ratio in compute_aa.items()))
-    print("A/A best_s ratio per layer: " + ", ".join(
-        f"{layer} {lo:.2f}-{hi:.2f}" for layer, (lo, hi) in layer_resolution.items()))
     print(f"identical_results: {identical}")
     return 0
 

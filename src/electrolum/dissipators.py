@@ -32,10 +32,12 @@ import numpy as np
 from .rabi import DressedBasis
 
 # Squared matrix elements below this are dropped.  Parity and electron
-# number make the forbidden elements exactly zero, so what the cut drops
-# are allowed elements too weak to matter at the run's precision, e.g.
-# the 5e-22 "plus" line at eta 0.8, n_max 12.  Whether such lines change
-# a converged result is the cutoff question of ROADMAP item 3.
+# number make the forbidden elements exactly zero; the cut is set by the
+# eigensolver instead.  eigh's eigenvector entries are accurate to about
+# 1e-16 absolute, not relative, so an element below 1e-7 carries mostly
+# round-off, while a kept |x|^2 >= 1e-14 has a relative error of at most
+# about 1e-8.  The cut keeps every rate accurate entry by entry, which
+# the entrywise steady-state solver needs of its input.
 WEIGHT_CUT = 1e-14
 
 # Slack for the threshold comparison: Theta(0) = 1 must survive floating

@@ -53,48 +53,59 @@ def test_bad_tree_exits_before_timing(bench, tmp_path):
     assert not out.exists()
 
 
-def test_resolution_spans_the_aa_ratios(bench):
-    # two cases over three rounds; the copy's best is 1.5 times the first
-    # tree's in case a and 3 times in case b, so each layer's range is [1.5, 3]
-    def rounds(scale):
-        return [{"times": {case: dict.fromkeys(bench.LAYERS, scale[case] * k)
-                           for case in scale}} for k in (3.0, 1.0, 2.0)]
+def test_layer_summary_keeps_best_median_and_quartiles(bench):
+    # two cases over three rounds, each layer's per-round best 1, 3, 2 times the case's scale
+    per_round = [{"times": {case: dict.fromkeys(bench.LAYERS, scale * k)
+                            for case, scale in (("a", 1e-3), ("b", 2e-3))}}
+                 for k in (3.0, 1.0, 2.0)]
+    results = bench.layer_summary(per_round)
+    assert set(results) == {"a", "b"}
+    assert results["a"] == dict.fromkeys(bench.LAYERS, {"best_s": 1e-3, "median_s": 2e-3,
+                                                        "q1_s": 1e-3, "q3_s": 3e-3})
+    assert results["b"]["steady_state"] == {"best_s": 2e-3, "median_s": 4e-3,
+                                            "q1_s": 2e-3, "q3_s": 6e-3}
 
-    first = bench.layer_summary(rounds({"a": 1e-3, "b": 2e-3}))
-    again = bench.layer_summary(rounds({"a": 1.5e-3, "b": 6e-3}))
-    assert first["a"]["hamiltonian"] == {"best_s": 1e-3, "median_s": 2e-3,
-                                         "q1_s": 1e-3, "q3_s": 3e-3}
-    assert bench.resolution(first, again) == dict.fromkeys(bench.LAYERS, [1.5, 3.0])
+
+def test_layers_runs_each_tree_once_a_round(bench, monkeypatch):
+    started = []
+
+    def run(path, threads, argv, cwd=None):
+        started.append(path[0])
+        worker = {"times": {"n2": dict.fromkeys(bench.LAYERS, 1e-3)}, "results": {"n2": [1.0]}}
+        return 0.0, json.dumps(worker), ""
+
+    monkeypatch.setattr(bench, "run", run)
+    results, identical = bench.layers({"parent": "old/src", "change": "src"})
+    assert len(started) == 2 * bench.LAYER_ROUNDS
+    assert started.count("old/src") == started.count("src") == bench.LAYER_ROUNDS
+    assert set(results) == {"parent", "change"}
+    assert identical is True
 
 
-def test_compute_times_each_command_with_an_aa_copy(bench):
+def test_compute_times_each_command(bench):
     bench.COMPUTE_ROUNDS = 1
     bench.COMPUTE_INPUTS = {
         "spectrum": {"eta": 1.0, "n_max": 2},
         "sweep": {"eta": 0.1, "n_max": 2,
                   "sweep": {"variable": "eta", "values": [0.1, 0.2, 0.3]}},
     }
-    results, aa_ratio = bench.compute({"this": ROOT / "src"})
-    commands = {"spectrum_wall_s", "sweep_wall_s"}
+    results = bench.compute({"this": ROOT / "src"})
     assert set(results) == {"this"}
-    assert set(results["this"]) == set(aa_ratio) == commands
+    assert set(results["this"]) == {"spectrum_wall_s", "sweep_wall_s"}
     for summary in results["this"].values():
         assert set(summary) == {"median", "q1", "q3", "samples"}
         assert len(summary["samples"]) == 1
         assert 0.0 < summary["q1"] == summary["median"] == summary["q3"]
-    assert all(math.isfinite(ratio) and ratio > 0.0 for ratio in aa_ratio.values())
 
 
 def test_main_records_compute_and_layers_only(bench, monkeypatch, tmp_path, capsys):
     def compute(trees):
-        return ({label: {"sweep_wall_s": bench.summary([1.0, 2.0, 3.0])} for label in trees},
-                {"sweep_wall_s": 1.0})
+        return {label: {"sweep_wall_s": bench.summary([1.0, 2.0, 3.0])} for label in trees}
 
     def layers(trees):
         per_round = [{"times": {"n2": dict.fromkeys(bench.LAYERS, 1e-3 * k)}}
                      for k in (1.0, 2.0, 3.0)]
-        summary = bench.layer_summary(per_round)
-        return ({label: summary for label in trees}, bench.resolution(summary, summary), True)
+        return {label: bench.layer_summary(per_round) for label in trees}, True
 
     monkeypatch.setattr(bench, "compute", compute)
     monkeypatch.setattr(bench, "layers", layers)
@@ -110,7 +121,9 @@ def test_main_records_compute_and_layers_only(bench, monkeypatch, tmp_path, caps
     assert set(record["trees"]) == {"this"}
     assert set(record["trees"]["this"]) == {"src", "compute", "layers"}
     assert record["trees"]["this"]["src"] == "src"
-    assert record["compute"]["aa_ratio"]["median_ratio"] == {"sweep_wall_s": 1.0}
+    assert set(record["compute"]) == {"what", "rounds", "inputs"}
     assert record["layers"]["identical_results"] is True
     assert "perfbench_workloads" not in sys.modules
-    assert "identical_results: True" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "this: compute sweep_wall_s 2.000 (1.000-3.000)" in out
+    assert "identical_results: True" in out

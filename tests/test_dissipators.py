@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,3 +257,55 @@ class TestQuadratureSplit:
         xm, xp = (to_bare(basis, m) for m in x_pm(basis))
         assert np.max(np.abs(quadrature(space) - xm - xp)) < 1e-12
         assert np.max(np.abs(xp - xm.conj().T)) == approx(0.0)
+
+
+def oracle_weights(basis, params, dps=60):
+    """Squared X (odd x even chain levels) and O_in (each chain's levels x sites) elements.
+
+    The chains' eigenvectors come from ``mpmath.eigsy`` at ``dps``
+    digits on the same float chain matrices the package diagonalizes.
+    """
+    with mpmath.workdps(dps):
+        vectors = []
+        for diag, off in hamiltonian(params, basis.space):
+            n = len(diag)
+            chain = mpmath.matrix(n, n)
+            for k in range(n):
+                chain[k, k] = mpmath.mpf(float(diag[k]))
+            for k in range(n - 1):
+                chain[k, k + 1] = chain[k + 1, k] = mpmath.mpf(float(off[k]))
+            vectors.append(mpmath.eigsy(chain)[1])  # columns in ascending energy, like eigh
+        even, odd = vectors
+        ladder = mpmath.matrix(n, n)
+        for k in range(n - 1):
+            ladder[k, k + 1] = ladder[k + 1, k] = mpmath.sqrt(k + 1)
+        x = odd.T * ladder * even
+
+        def squares(m):
+            return np.array([[float(m[i, j] ** 2) for j in range(m.cols)] for i in range(m.rows)])
+
+        return squares(x), [squares(v.T) for v in vectors]
+
+
+class TestWeightCut:
+    """Every element the cut keeps is accurate entry by entry; every one it drops is noise.
+
+    eigh's eigenvector entries carry an absolute error of about 1e-16, so
+    a kept weight |x|^2 >= WEIGHT_CUT is good to about 1e-8 relative.
+    """
+
+    @pytest.mark.parametrize("n_max, eta", [(16, 0.1), (16, 1.0), (32, 1.0)])
+    def test_kept_weights_match_a_60_digit_oracle(self, n_max, eta):
+        basis, _, params = make_basis(eta, n_max=n_max)
+        (even, _), (odd, _) = basis.chains
+        s = list(basis.s_levels)
+        x_oracle, o_oracle = oracle_weights(basis, params)
+        o_in = injection_elements(basis)
+        pairs = [(quadrature_elements(basis)[np.ix_(odd, even)] ** 2, x_oracle)]
+        pairs += [(o_in[np.ix_(levels, s)] ** 2, oracle)
+                  for (levels, _), oracle in zip(basis.chains, o_oracle)]
+        for weights, oracle in pairs:
+            kept = weights >= WEIGHT_CUT
+            assert kept.any()
+            assert np.all(np.abs(weights - oracle)[kept] <= 1e-8 * oracle[kept])
+            assert np.all(oracle[~kept] < WEIGHT_CUT * (1 + 1e-6))

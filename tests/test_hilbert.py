@@ -15,7 +15,7 @@ from dense_oracle import (
     parity,
     transition,
 )
-from electrolum import build_system, pipeline
+from electrolum import build_system, pipeline, spectrum
 from electrolum.hilbert import ModelSpace, SystemParams
 from electrolum.settings import MU_MODES
 
@@ -170,6 +170,14 @@ class TestSystemParams:
         monkeypatch.setattr(pipeline, "resolve_mu", lambda *args, **kwargs: float("inf"))
         with pytest.raises(ValueError, match="mu must be finite"):
             build_system(SystemParams(eta=0.1), n_max=2, mu_mode="omega_G")
+
+    def test_omega_g_takes_no_negative_offset(self):
+        # at omega_e 3, eta 2 the "+" line lies below the central one
+        # (-0.041 here), so omega_G takes no offset: exactly omega_ground
+        basis = build_system(SystemParams(omega_e=3.0, eta=2.0), n_max=24).basis
+        centers = spectrum.emission_line_centers(basis)
+        assert centers["plus"] - centers["central"] < 0.0
+        assert pipeline.resolve_mu("omega_G", basis) == basis.omega_ground
 
     def test_build_system_rejects_unknown_mu_mode(self):
         with pytest.raises(ValueError, match=re.escape(str(MU_MODES))):

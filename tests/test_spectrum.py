@@ -5,7 +5,9 @@ import pytest
 from pytest import approx
 
 import dense_oracle
+from channel_rows import bath_rates
 from electrolum import SystemParams, build_system
+from electrolum.pipeline import DressedSystem, build_liouvillian, steady_state
 from electrolum.ratemodel import analytic_gse
 from electrolum.spectrum import (
     Spectrum,
@@ -192,6 +194,26 @@ class TestFluxConsistency:
         fluxes = low_bias_system.line_fluxes()
         expected = REF_GAMMA_CAV * quadrature_moment(low_bias_system.rho_ss, xm)
         assert sum(fluxes.values()) == approx(expected, rel=0.01, abs=0)
+
+    def test_line_on_a_shared_edge_counts_for_the_lower_line(self):
+        # dyadic energies put the centers at exactly 0.75, 1.0 and 1.25, and
+        # the central/plus edge at 1.125, where the hand-built line 5 -> 3
+        # emits; the cycle 1 -> 5 -> 3 -> 1 holds all the population, and
+        # the other levels drain into it
+        system = build_system(SystemParams(eta=0.1), n_max=1)
+        energies = np.array([-0.25, 0.0, 0.5, 1.0, 1.0, 2.125])
+        basis = system.basis._replace(energies=energies)
+        windows = default_windows(basis)
+        assert windows["central"].hi == windows["plus"].lo == energies[5] - energies[3]
+        cavity, electron_in, electron_out = np.zeros((3, 6, 6))
+        cavity[3, 5] = cavity[1, 3] = electron_in[5, 1] = 1.0
+        electron_out[1, [0, 2, 4]] = 1.0
+        channels = bath_rates(energies, cavity, electron_in, electron_out)
+        lv = build_liouvillian(channels)
+        edge = DressedSystem(system.params, basis, channels, lv, steady_state(lv))
+        fluxes = edge.line_fluxes()
+        assert fluxes["central"] == approx(2 / 3)
+        assert fluxes["minus"] == fluxes["plus"] == 0.0
 
     @pytest.mark.slow
     def test_time_domain_oracle(self, low_bias_system, dense_generator):
