@@ -28,9 +28,10 @@ not a measured difference.
 
 Start-up, which dominates a gated benchmark operation, is timed by the
 benchmark itself (``setup_s`` and ``wall_s`` of ``perfbench/run.py``).
-Each part has its own rounds and BLAS thread count (module constants),
-both written to ``--out`` next to the host, Python, numpy, the BLAS
-library, the inputs and whether ``PYTHONDONTWRITEBYTECODE`` is set.
+Both parts run ``ROUNDS`` rounds with ``BLAS_THREADS`` BLAS threads
+(module constants), written to ``--out`` next to the host, Python,
+numpy, the BLAS library, the inputs and whether
+``PYTHONDONTWRITEBYTECODE`` is set.
 No ``perfbench/`` file is changed.  This is a measurement script, not a
 test.
 """
@@ -57,17 +58,15 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TIMEOUT_S = 1800
+ROUNDS = 10
+BLAS_THREADS = 1
 
-COMPUTE_ROUNDS = 10
-COMPUTE_BLAS_THREADS = 1
 COMPUTE_INPUTS = {
     "spectrum": {"eta": 1.0, "n_max": 128},
     "sweep": {"eta": 0.1, "n_max": 32,
               "sweep": {"variable": "eta", "values": [k / 200 for k in range(1, 201)]}},
 }
 
-LAYER_ROUNDS = 10
-LAYER_BLAS_THREADS = 1
 REPEATS = 5
 N_MAX = (8, 16, 32, 64, 128)
 ETAS = (0.1, 1.0)
@@ -137,8 +136,8 @@ def compute(trees):
     """Per tree, the :func:`summary` of each command's wall times."""
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        walls = fresh_walls(trees, COMPUTE_BLAS_THREADS,
-                            cli_commands(work, COMPUTE_INPUTS), COMPUTE_ROUNDS, work)
+        walls = fresh_walls(trees, BLAS_THREADS, cli_commands(work, COMPUTE_INPUTS),
+                            ROUNDS, work)
     return {label: {f"{name}_wall_s": summary(samples) for name, samples in per.items()}
             for label, per in walls.items()}
 
@@ -207,8 +206,8 @@ def layer_summary(per_round) -> dict:
 def layers(trees):
     """(per tree, :func:`layer_summary`; identical_results)."""
     runs = {label: [] for label in trees}
-    for label in alternated(list(trees), LAYER_ROUNDS):
-        _, stdout, _ = run([trees[label], HERE], LAYER_BLAS_THREADS,
+    for label in alternated(list(trees), ROUNDS):
+        _, stdout, _ = run([trees[label], HERE], BLAS_THREADS,
                            ["-c", "import bench; bench.layer_worker()"])
         runs[label].append(json.loads(stdout))
     results = {label: layer_summary(per_round) for label, per_round in runs.items()}
@@ -244,19 +243,18 @@ def main(argv=None) -> int:
                  "machine": platform.machine(), "load_avg_at_end": os.getloadavg()},
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "blas": {"library": blas.get("name"), "compute_threads": COMPUTE_BLAS_THREADS,
-                 "layers_threads": LAYER_BLAS_THREADS},
+        "blas": {"library": blas.get("name"), "threads": BLAS_THREADS},
         "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         "compute": {
             "what": "fresh-process wall time of one CLI run per mode on inputs where "
                     "computation dominates, alternated between the trees per round",
-            "rounds": COMPUTE_ROUNDS,
+            "rounds": ROUNDS,
             "inputs": COMPUTE_INPUTS,
         },
         "layers": {
             "what": "in-process wall time of each layer of one system build, best of "
-                    f"{REPEATS} calls per worker, over {LAYER_ROUNDS} alternated worker rounds",
-            "rounds": LAYER_ROUNDS,
+                    f"{REPEATS} calls per worker, over {ROUNDS} alternated worker rounds",
+            "rounds": ROUNDS,
             "repeats": REPEATS,
             "n_max": list(N_MAX),
             "eta": list(ETAS),

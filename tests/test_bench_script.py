@@ -76,14 +76,14 @@ def test_layers_runs_each_tree_once_a_round(bench, monkeypatch):
 
     monkeypatch.setattr(bench, "run", run)
     results, identical = bench.layers({"parent": "old/src", "change": "src"})
-    assert len(started) == 2 * bench.LAYER_ROUNDS
-    assert started.count("old/src") == started.count("src") == bench.LAYER_ROUNDS
+    assert len(started) == 2 * bench.ROUNDS
+    assert started.count("old/src") == started.count("src") == bench.ROUNDS
     assert set(results) == {"parent", "change"}
     assert identical is True
 
 
 def test_compute_times_each_command(bench):
-    bench.COMPUTE_ROUNDS = 1
+    bench.ROUNDS = 1
     bench.COMPUTE_INPUTS = {
         "spectrum": {"eta": 1.0, "n_max": 2},
         "sweep": {"eta": 0.1, "n_max": 2,
@@ -117,7 +117,7 @@ def test_main_records_compute_and_layers_only(bench, monkeypatch, tmp_path, caps
     record = json.loads(out.read_text())
     assert set(record) == {"host", "python", "numpy", "blas", "pythondontwritebytecode",
                            "compute", "layers", "trees"}
-    assert set(record["blas"]) == {"library", "compute_threads", "layers_threads"}
+    assert set(record["blas"]) == {"library", "threads"}
     assert set(record["trees"]) == {"this"}
     assert set(record["trees"]["this"]) == {"src", "compute", "layers"}
     assert record["trees"]["this"]["src"] == "src"

@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 from pytest import approx
 from scipy.integrate import solve_ivp
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from dense_oracle import generator, null_vector
 from electrolum import SystemParams, build_system
@@ -122,15 +124,54 @@ class TestStationaryDistribution:
         assert p[1:3] == approx([0.2, 0.8], rel=1e-15)
         assert_matches_exact(p, m)
 
-    @pytest.mark.parametrize("rates", [
-        [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],  # isolated level
-        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],  # two sinks
-        np.zeros((2, 2)),
+    @pytest.mark.parametrize(("rates", "classes"), [
+        ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], 2),  # isolated level
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], 2),  # two sinks
+        (np.zeros((2, 2)), 2),
+        # a transient level 0 draining into three sinks
+        ([[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0],
+          [3.0, 0.0, 0.0, 0.0]], 3),
     ])
-    def test_two_closed_classes_raise(self, rates):
-        message = "^no unique stationary state: the rate graph has 2 closed classes"
+    def test_closed_classes_are_counted(self, rates, classes):
+        message = f"^no unique stationary state: the rate graph has {classes} closed classes"
         with pytest.raises(NullSpaceError, match=message):
             stationary_distribution(generator(rates))
+
+    def test_class_count_against_strong_components(self):
+        # independent oracle: a closed class is a strongly connected
+        # component that no edge leaves; rates span 1e-14 to 1
+        rng = np.random.default_rng(37)
+        counts = set()
+        for _ in range(500):
+            n = int(rng.integers(1, 14))
+            rates = np.where(rng.random((n, n)) < rng.uniform(0.02, 0.4),
+                             10.0 ** rng.uniform(-14, 0, (n, n)), 0.0)
+            np.fill_diagonal(rates, 0.0)
+            _, label = connected_components(csr_matrix(rates.T), connection="strong")
+            leaves = {label[j] for i, j in zip(*np.nonzero(rates)) if label[i] != label[j]}
+            closed = sorted(set(label) - leaves)
+            counts.add(len(closed))
+            if len(closed) != 1:
+                with pytest.raises(NullSpaceError, match=f" has {len(closed)} closed classes"):
+                    stationary_distribution(rates)
+                continue
+            p = stationary_distribution(rates)
+            assert np.array_equal(p > 0, label == closed[0])
+        assert counts >= set(range(1, 9))
+
+    def test_underflowing_censored_rate_counts_as_closed_class(self):
+        # 0 <-> 1 at 1, 1 -> 2 at 1e-10, 2 -> 3 at 1e-200, 3 -> 2 at 1 and
+        # 3 -> 0 at 1e-200: the exact state is [1e-390, 1e-390, 1, 1e-200].
+        # Level 2's censored out-rate 1e-400 underflows to 0.0, so level 2
+        # counts as closed, and the result is that state in double precision
+        rates = np.zeros((4, 4))
+        rates[1, 0] = rates[0, 1] = rates[2, 3] = 1.0
+        rates[2, 1] = 1e-10
+        rates[3, 2] = rates[0, 3] = 1e-200
+        with np.errstate(divide="raise", invalid="raise"):
+            p = stationary_distribution(rates)
+        assert p.tolist() == [0.0, 0.0, 1.0, 1e-200]
+        assert p.tolist() == [float(v) for v in exact_stationary(rates, 500)]
 
     @pytest.mark.parametrize("m", [
         np.array([[-1.0, -1.0], [1.0, 1.0]]),  # negative off-diagonal rate
