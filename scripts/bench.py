@@ -20,7 +20,9 @@ reversed every other round.  The record has two parts per tree:
   the best.  The record holds the best over all rounds and the median
   and quartiles (``q1_s``, ``q3_s``) of the per-round bests;
   ``identical_results`` says whether every worker wrote the same
-  spectrum and window fluxes, bit for bit.
+  spectrum and window fluxes, bit for bit, and ``moved_results`` maps
+  each case whose results differ to its largest relative move
+  (:func:`moved_results`).
 
 A difference between trees is read against the quartiles of their
 per-round samples: a median of one tree inside the other's quartiles is
@@ -29,9 +31,9 @@ not a measured difference.
 Start-up, which dominates a gated benchmark operation, is timed by the
 benchmark itself (``setup_s`` and ``wall_s`` of ``perfbench/run.py``).
 Both parts run ``ROUNDS`` rounds with ``BLAS_THREADS`` BLAS threads
-(module constants), written to ``--out`` next to the host, Python,
-numpy, the BLAS library, the inputs and whether
-``PYTHONDONTWRITEBYTECODE`` is set.
+(module constants), written to ``--out`` next to the host (with its
+load average at the start and at the end), Python, numpy, the BLAS
+library, the inputs and whether ``PYTHONDONTWRITEBYTECODE`` is set.
 No ``perfbench/`` file is changed.  This is a measurement script, not a
 test.
 """
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -203,16 +206,34 @@ def layer_summary(per_round) -> dict:
     return results
 
 
+def moved_results(outputs) -> dict:
+    """Each case whose results differ between workers -> its largest relative move.
+
+    A move is ``|a - b| / max(|a|, |b|)`` between a worker's value and the
+    first worker's, or inf where only the lengths of their result lists differ.
+    Empty when every worker wrote the same results, bit for bit.
+    """
+    moved = {}
+    for output in outputs[1:]:
+        for case, values in output.items():
+            first = outputs[0][case]
+            if values != first:
+                move = max((abs(a - b) / max(abs(a), abs(b))
+                            for a, b in zip(values, first) if a != b), default=math.inf)
+                moved[case] = max(moved.get(case, 0.0), move)
+    return moved
+
+
 def layers(trees):
-    """(per tree, :func:`layer_summary`; identical_results)."""
+    """(per tree, :func:`layer_summary`; :func:`moved_results` over all workers)."""
     runs = {label: [] for label in trees}
     for label in alternated(list(trees), ROUNDS):
         _, stdout, _ = run([trees[label], HERE], BLAS_THREADS,
                            ["-c", "import bench; bench.layer_worker()"])
         runs[label].append(json.loads(stdout))
     results = {label: layer_summary(per_round) for label, per_round in runs.items()}
-    outputs = [r["results"] for per_round in runs.values() for r in per_round]
-    return results, all(r == outputs[0] for r in outputs)
+    return results, moved_results([r["results"] for per_round in runs.values()
+                                   for r in per_round])
 
 
 def main(argv=None) -> int:
@@ -234,13 +255,16 @@ def main(argv=None) -> int:
     from perfbench_files import load  # perfbench/<name>.py by path, unchanged
 
     run = load("run")
+    load_at_start = os.getloadavg()
     compute_results = compute(trees)
-    layer_results, identical = layers(trees)
+    layer_results, moved = layers(trees)
+    load_at_end = os.getloadavg()
 
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     doc = {
         "host": {"cpu_model": run.cpu_model(), "nproc": len(os.sched_getaffinity(0)),
-                 "machine": platform.machine(), "load_avg_at_end": os.getloadavg()},
+                 "machine": platform.machine(), "load_avg_at_start": load_at_start,
+                 "load_avg_at_end": load_at_end},
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "blas": {"library": blas.get("name"), "threads": BLAS_THREADS},
@@ -260,7 +284,8 @@ def main(argv=None) -> int:
             "eta": list(ETAS),
             "mu_mode": list(MODES),
             "grid_points": GRID_POINTS,
-            "identical_results": identical,
+            "identical_results": not moved,
+            "moved_results": moved,
         },
         "trees": {label: {
             # no absolute path: a tree outside this checkout is known by its label
@@ -277,7 +302,10 @@ def main(argv=None) -> int:
             f"{name} {value['median']:.3f} ({value['q1']:.3f}-{value['q3']:.3f})"
             for name, value in compute_results[label].items())
         print(f"{label}: compute {compute_s}, best layer total {layer_total:.3f} s")
-    print(f"identical_results: {identical}")
+    print(f"identical_results: {not moved}, moved_results: {moved}")
+    print("load average (1, 5, 15 min): "
+          f"{' '.join(f'{x:.2f}' for x in load_at_start)} at start, "
+          f"{' '.join(f'{x:.2f}' for x in load_at_end)} at end")
     return 0
 
 

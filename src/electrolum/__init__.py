@@ -13,13 +13,23 @@ Units: hbar = 1, omega_c = 1.
 Importing the package loads no numpy: ``build_system`` imports
 ``pipeline`` when it is called.  The numerical names live in their
 modules (``pipeline``, ``rabi``, ``spectrum``, ...).
+
+Importing the package also registers ``gc.freeze`` to run at exit, so a
+process that used it exits without a full collection over numpy's heap.
+A reference cycle still alive at exit is then not finalized;
+``atexit.unregister(gc.freeze)`` restores the collection.
 """
+
+import atexit
+import gc
 
 __version__ = "0.1.0"
 
 from .hilbert import ModelSpace, SystemParams
 
 __all__ = ["ModelSpace", "SystemParams", "LinalgError", "build_system", "__version__"]
+
+atexit.register(gc.freeze)
 
 
 class LinalgError(ValueError):

@@ -1,15 +1,5 @@
-"""Process entry of ``python -m electrolum`` and of the ``electrolum`` script."""
-import gc
-
+"""Process entry of ``python -m electrolum``."""
 from .cli import main
 
-
-def run() -> int:
-    """:func:`cli.main`, then freeze the heap: exit skips a full collection of it."""
-    code = main()
-    gc.freeze()
-    return code
-
-
 if __name__ == "__main__":
-    raise SystemExit(run())
+    raise SystemExit(main())

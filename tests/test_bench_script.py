@@ -75,11 +75,22 @@ def test_layers_runs_each_tree_once_a_round(bench, monkeypatch):
         return 0.0, json.dumps(worker), ""
 
     monkeypatch.setattr(bench, "run", run)
-    results, identical = bench.layers({"parent": "old/src", "change": "src"})
+    results, moved = bench.layers({"parent": "old/src", "change": "src"})
     assert len(started) == 2 * bench.ROUNDS
     assert started.count("old/src") == started.count("src") == bench.ROUNDS
     assert set(results) == {"parent", "change"}
-    assert identical is True
+    assert moved == {}
+
+
+def test_moved_results_name_each_case_with_its_largest_move(bench):
+    # stubbed worker outputs: case "b" moves by one ulp in two workers,
+    # and one worker drops a value of case "c"
+    first = {"a": [1.0, 2.0], "b": [1.0, 4.0], "c": [1.0, 2.0]}
+    up = math.nextafter(4.0, 5.0)
+    outputs = [first, dict(first), dict(first, b=[1.0, up]),
+               dict(first, b=[math.nextafter(1.0, 0.0), 4.0], c=[1.0])]
+    assert bench.moved_results(outputs) == {"b": (up - 4.0) / up, "c": math.inf}
+    assert bench.moved_results([first, dict(first)]) == {}
 
 
 def test_compute_times_each_command(bench):
@@ -105,7 +116,7 @@ def test_main_records_compute_and_layers_only(bench, monkeypatch, tmp_path, caps
     def layers(trees):
         per_round = [{"times": {"n2": dict.fromkeys(bench.LAYERS, 1e-3 * k)}}
                      for k in (1.0, 2.0, 3.0)]
-        return {label: bench.layer_summary(per_round) for label in trees}, True
+        return {label: bench.layer_summary(per_round) for label in trees}, {}
 
     monkeypatch.setattr(bench, "compute", compute)
     monkeypatch.setattr(bench, "layers", layers)
@@ -117,13 +128,18 @@ def test_main_records_compute_and_layers_only(bench, monkeypatch, tmp_path, caps
     record = json.loads(out.read_text())
     assert set(record) == {"host", "python", "numpy", "blas", "pythondontwritebytecode",
                            "compute", "layers", "trees"}
+    assert set(record["host"]) == {"cpu_model", "nproc", "machine", "load_avg_at_start",
+                                   "load_avg_at_end"}
+    assert len(record["host"]["load_avg_at_start"]) == 3
     assert set(record["blas"]) == {"library", "threads"}
     assert set(record["trees"]) == {"this"}
     assert set(record["trees"]["this"]) == {"src", "compute", "layers"}
     assert record["trees"]["this"]["src"] == "src"
     assert set(record["compute"]) == {"what", "rounds", "inputs"}
     assert record["layers"]["identical_results"] is True
+    assert record["layers"]["moved_results"] == {}
     assert "perfbench_workloads" not in sys.modules
     out = capsys.readouterr().out
     assert "this: compute sweep_wall_s 2.000 (1.000-3.000)" in out
-    assert "identical_results: True" in out
+    assert "identical_results: True, moved_results: {}" in out
+    assert " at start, " in out and out.rstrip().endswith(" at end")

@@ -387,6 +387,14 @@ class TestRunSweep:
         assert first.read_bytes() == second.read_bytes()
 
 
+# registered before the package's own exit hook, so it runs after that one
+FREEZE_PROBE = """import atexit, gc, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+import electrolum
+"""
+FROZEN_NOW = 'print("frozen before exit:", gc.get_freeze_count() > 0)\n'
+
+
 class TestMain:
     def test_spectrum_exit_zero(self, tmp_path, capsys):
         config_path = write_config(tmp_path, {
@@ -401,12 +409,17 @@ class TestMain:
         assert (tmp_path / "spectrum.csv").exists()
 
     def test_main_freezes_nothing(self, tmp_path):
-        # only the process entry freezes the heap; in-process callers keep
-        # their collector as it was
+        # the heap is frozen only at exit; in-process callers keep their
+        # collector as it was
         config_path = write_config(tmp_path, {"eta": 0.1, "n_max": 2, "sweep": SWEEP})
         frozen = gc.get_freeze_count()
         assert main(["--config", str(config_path), "--out", str(tmp_path),
                      "--mode", "sweep"]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_build_system_freezes_nothing(self):
+        frozen = gc.get_freeze_count()
+        build_system(SystemParams(eta=0.1), n_max=2, mu_mode="omega_G")
         assert gc.get_freeze_count() == frozen
 
     @pytest.mark.parametrize("mode", ["spectrum", "sweep"])
@@ -428,15 +441,35 @@ class TestMain:
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
         scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
-        assert scripts == {"electrolum": "electrolum.__main__:run"}
-        # run returns main's exit code and leaves the heap frozen for exit
+        assert scripts == {"electrolum": "electrolum.cli:main"}
+        # what the installed script runs: main's code is the exit status,
+        # and the package's exit hook freezes the heap after main returns
         config_path = write_config(tmp_path, {"eta": 0.1, "n_max": 2, "sweep": SWEEP})
-        script = ("import gc; from electrolum.__main__ import run; "
-                  "assert run() == 0 and gc.get_freeze_count() > 0")
-        result = python("-c", script, "--config", config_path, "--out", tmp_path,
-                        "--mode", "sweep")
+        script = FREEZE_PROBE + "from electrolum.cli import main\ncode = main()\n" + FROZEN_NOW
+        result = python("-c", script + "sys.exit(code)", "--config", config_path,
+                        "--out", tmp_path, "--mode", "sweep")
         assert result.returncode == 0, result.stderr
-        assert (tmp_path / "sweep.csv").is_file()
+        assert result.stdout.splitlines() == [str(tmp_path / "sweep.csv"),
+                                              "frozen before exit: False",
+                                              "frozen at exit: True"]
+
+    def test_library_path_freezes_the_heap_at_exit(self):
+        script = (FREEZE_PROBE + "electrolum.build_system(electrolum.SystemParams(eta=0.1),"
+                  " n_max=2, mu_mode='omega_G')\n" + FROZEN_NOW)
+        result = python("-c", script)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "frozen before exit: False\nfrozen at exit: True\n"
+
+    def test_unclosed_module_global_file_is_written_at_exit(self, tmp_path):
+        # the heap frozen at exit still flushes a buffered file that no
+        # cycle holds
+        path = tmp_path / "left_open.txt"
+        script = ("import sys, electrolum\n"
+                  "electrolum.build_system(electrolum.SystemParams(eta=0.1), n_max=2)\n"
+                  "f = open(sys.argv[1], 'w')\nf.write('x' * 100)\n")
+        result = python("-c", script, path)
+        assert result.returncode == 0, result.stderr
+        assert path.read_text() == "x" * 100
 
     @pytest.mark.parametrize("mode", [None, "bogus"], ids=["no_mode", "unknown_mode"])
     def test_usage_error_exit_one(self, tmp_path, capsys, mode):
