@@ -8,7 +8,17 @@ baths, solves the master equation for the steady state and the emission
 spectrum, and cross-validates against a five-level rate model and
 closed-form intensities.
 
-Units: hbar = 1, omega_c = 1.
+Conventions, used everywhere in the package:
+
+* hbar = 1 and omega_c = 1: every energy, frequency, and rate is a
+  dimensionless multiple of the cavity frequency.
+* Electronic labels: ``s`` empty site, ``g`` electron in the lower
+  orbital, ``e`` electron in the upper orbital.  Double occupancy is
+  excluded (Coulomb blockade), so one label is the whole electronic
+  space.
+* The package works over the 3 (n_max + 1) dressed levels and lays out
+  no bare basis; the flat bare index that the dense test oracle uses is
+  defined there (``tests/dense_oracle.py``).
 
 Importing the package loads no numpy: ``build_system`` imports
 ``pipeline`` when it is called.  The numerical names live in their
@@ -25,7 +35,7 @@ import gc
 
 __version__ = "0.1.0"
 
-from .hilbert import ModelSpace, SystemParams
+from .settings import ModelSpace, SystemParams
 
 __all__ = ["ModelSpace", "SystemParams", "LinalgError", "build_system", "__version__"]
 

@@ -30,11 +30,11 @@ Exit codes: 0 success, 1 configuration or command-line usage error,
 a non-finite value for a table, which is then not written).
 
 Validation, ``--help`` and every configuration error import only the
-standard library, ``hilbert`` and ``settings``, and of the standard
-library neither ``inspect`` (the records are ``typing.NamedTuple``s) nor,
-for validation alone, ``argparse``, which only :func:`main` imports.  Each
-run function imports the numerical modules (and numpy) where it calls
-them, so only a run pays for them.
+standard library and ``settings``, and of the standard library neither
+``inspect`` (the records are ``typing.NamedTuple``s) nor, for validation
+alone, ``argparse``, which only :func:`main` imports.  Each run function
+imports the numerical modules (and numpy) where it calls them, so only a
+run pays for them.
 """
 
 from __future__ import annotations
@@ -48,9 +48,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import LinalgError, __version__, build_system
-from .hilbert import SystemParams
 from .settings import (DEFAULT_GRID, DEFAULT_MU_MODE, DEFAULT_N_MAX, GRID_STEP_ULPS,
-                       MAX_GRID_POINTS, MAX_N_MAX, MU_MODES, WINDOW_SCALE)
+                       MAX_GRID_POINTS, MAX_N_MAX, MU_MODES, WINDOW_SCALE, SystemParams)
 
 
 # perfbench/traced.py wraps cli.build_system (the package's function, imported

@@ -27,10 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dissipators, ratemodel, spectrum as spectrum_mod
-from .hilbert import ModelSpace, SystemParams
 from .liouvillian import SecularGenerator, build_liouvillian, steady_state
 from .rabi import DressedBasis, dressed_basis, hamiltonian
-from .settings import DEFAULT_N_MAX, MU_MODES
+from .settings import DEFAULT_N_MAX, MU_MODES, ModelSpace, SystemParams
 
 
 def resolve_mu(mode: str, basis: DressedBasis) -> float:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import ModelSpace, SystemParams
+from .settings import ModelSpace, SystemParams
 
 # Two one-electron levels closer than this are treated as degenerate when
 # assigning the -/+ labels (only relevant at eta = 0).

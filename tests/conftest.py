@@ -1,3 +1,4 @@
+import signal
 import sys
 from collections import OrderedDict
 
@@ -7,6 +8,29 @@ import pytest
 import dense_oracle
 from electrolum import SystemParams, build_system
 from electrolum.settings import DEFAULT_GRID
+
+# A test still running after this many seconds fails, so a loop that never
+# ends cannot hang the suite.  The slowest test takes a few seconds, and
+# faulthandler_timeout (120 s, pyproject.toml) dumps every stack first.
+TEST_TIMEOUT_S = 300
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call():
+    """Fail the test that runs past ``TEST_TIMEOUT_S`` (where ``SIGALRM`` exists)."""
+    if not hasattr(signal, "SIGALRM"):
+        return (yield)
+
+    def expire(signum, frame):
+        pytest.fail(f"ran past TEST_TIMEOUT_S = {TEST_TIMEOUT_S} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIMEOUT_S)
+    try:
+        return (yield)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from dense_oracle import annihilation, basis_state, electron_numbers, quadrature, states, to_bare
+from electrolum import ModelSpace, SystemParams
 from electrolum.dissipators import (
     BATH_CAVITY,
     BATH_IN,
@@ -17,9 +18,8 @@ from electrolum.dissipators import (
     quadrature_elements,
     x_pm,
 )
-from electrolum.hilbert import ModelSpace, SystemParams
 from electrolum.pipeline import build_system
-from electrolum.rabi import dressed_basis, hamiltonian
+from electrolum.rabi import DressedBasis, dressed_basis, hamiltonian
 from electrolum.spectrum import emission_line_centers
 
 
@@ -63,6 +63,20 @@ class TestCavityChannels:
         assert to.size > 0
         assert np.all(basis.energies[frm] > basis.energies[to])
         assert np.all(cav >= 0)
+
+    def test_equal_energies_open_no_cavity_channel(self):
+        # a hand-built basis at n_max 1 with identity chain vectors: levels
+        # 1 (|g,0>, even chain) and 2 (|g,1>, odd chain) share one energy and
+        # <g,0|X|g,1> = 1; at zero temperature only downward jumps exist
+        basis = DressedBasis(
+            space=ModelSpace(1), energies=np.array([0.0, 0.5, 0.5, 1.0, 1.5, 2.0]),
+            s_levels=(0, 3), index_ground=1, index_minus=2, index_plus=4,
+            chains=((np.array([1, 4]), np.eye(2)), (np.array([5, 2]), np.eye(2))))
+        assert quadrature_elements(basis)[1, 2] == 1.0
+        cav = all_channels(basis, SystemParams(eta=0.1)).cavity
+        assert cav[1, 2] == cav[2, 1] == 0.0
+        # |e,0> (level 5, 2.0) -> |e,1> (level 4, 1.5) stays open one way
+        assert cav[4, 5] == 7e-4 and cav[5, 4] == 0.0
 
     def test_channel_operator_pattern(self):
         # channel j -> i is the dressed element <i|X|j> of the bare quadrature

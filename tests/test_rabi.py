@@ -11,8 +11,8 @@ from dense_oracle import (
     parity,
     states,
 )
+from electrolum import ModelSpace, SystemParams
 from electrolum.dissipators import quadrature_elements
-from electrolum.hilbert import ModelSpace, SystemParams
 from electrolum.rabi import DressedBasis, dressed_basis, hamiltonian
 from electrolum.spectrum import emission_line_centers
 

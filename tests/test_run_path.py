@@ -3,14 +3,15 @@
 scipy costs about a third of a second and tens of megabytes to import,
 more than the physics of a whole CLI run, so a lazy scipy import slipped
 into any production module would quietly undo that.  ``numpy.ma`` costs
-15 to 20 ms, a third of a sweep's own computation, and numpy functions
-such as ``np.unique`` import it lazily on first call.  numpy itself
-costs about 100 ms, and validating a configuration, ``--help`` and a
-configuration error need none of it: the front door (``electrolum``,
-``electrolum.cli``, ``hilbert`` and ``settings``) imports no numpy.  The
-package's ``build_system`` imports ``pipeline`` when it is called, and
-each run function of ``cli`` imports the numerical modules where it
-calls them.  The front door also skips two standard-library imports:
+about 5 ms after numpy (numpy 2.4.6), and numpy functions such as
+``np.unique`` import it lazily on first call.  numpy itself
+costs about 40 ms, more than half of a gated benchmark operation, and
+validating a configuration, ``--help`` and a configuration error need
+none of it: the front door (``electrolum``, ``electrolum.cli`` and
+``electrolum.settings``, and no other package module) imports no
+numpy.  The package's ``build_system`` imports ``pipeline`` when it is
+called, and each run function of ``cli`` imports the numerical modules
+where it calls them.  The front door also skips two standard-library imports:
 ``dataclasses``, which loads ``inspect`` (about 15 ms), because the
 records are ``typing.NamedTuple``s, and, for validation alone,
 ``argparse``, which only ``cli.main`` imports.  Every check runs in a
@@ -65,9 +66,13 @@ assert not numpy, f"numpy loaded: {numpy[:5]}"
 
 # what validating a configuration must not import, beyond numpy
 NOT_FOR_VALIDATION = ("dataclasses", "inspect", "argparse")
+# the package modules that validating a configuration loads, and no others
+FRONT_DOOR = ["electrolum", "electrolum.cli", "electrolum.settings"]
 NO_UNNEEDED_MODULES = NO_NUMPY + f"""
 loaded = [m for m in {NOT_FOR_VALIDATION!r} if m in sys.modules]
 assert not loaded, f"loaded: {{loaded}}"
+package = sorted(m for m in sys.modules if m.split(".")[0] == "electrolum")
+assert package == {FRONT_DOOR!r}, f"package modules: {{package}}"
 """
 
 
@@ -188,16 +193,15 @@ def test_run_path_builds_no_bare_basis():
     # Fock layout, its flat index and V are the dense oracle's
     import numpy as np
 
-    from electrolum import SystemParams, build_system, hilbert, liouvillian
+    from electrolum import ModelSpace, SystemParams, build_system, liouvillian, settings
     from electrolum.dissipators import quadrature_elements
-    from electrolum.hilbert import ModelSpace
     from electrolum.rabi import DressedBasis
 
     assert not hasattr(DressedBasis, "states")
     assert not hasattr(liouvillian, "density_operator")
     assert ModelSpace.index is tuple.index  # the record's own, not a bare index
     assert not hasattr(ModelSpace, "chain_sites")
-    assert not hasattr(hilbert, "ELECTRONIC_LABELS")
+    assert not hasattr(settings, "ELECTRONIC_LABELS")
     system = build_system(SystemParams(eta=0.1), n_max=4, mu_mode="omega_G")
     assert np.array_equal(system.rho_ss, np.diag(system.populations))
     x_minus, x_plus = system.x_pm
@@ -220,9 +224,9 @@ except AttributeError as err:
     assert "nope" in str(err), err
 else:
     raise AssertionError("electrolum.nope resolved")
-from electrolum import cli, hilbert
-assert electrolum.ModelSpace is hilbert.ModelSpace
-assert electrolum.SystemParams is hilbert.SystemParams
+from electrolum import cli, settings
+assert electrolum.ModelSpace is settings.ModelSpace
+assert electrolum.SystemParams is settings.SystemParams
 assert cli.build_system is electrolum.build_system and cli.LinalgError is electrolum.LinalgError
 """ + NO_NUMPY + """
 params = electrolum.SystemParams(eta=0.1)

@@ -15,8 +15,7 @@ from dense_oracle import (
     parity,
     transition,
 )
-from electrolum import build_system, pipeline, spectrum
-from electrolum.hilbert import ModelSpace, SystemParams
+from electrolum import ModelSpace, SystemParams, build_system, pipeline, spectrum
 from electrolum.settings import MU_MODES
 
 

@@ -6,7 +6,7 @@ from pytest import approx
 
 import dense_oracle
 from channel_rows import bath_rates
-from electrolum import SystemParams, build_system
+from electrolum import ModelSpace, SystemParams, build_system
 from electrolum.pipeline import DressedSystem, build_liouvillian, steady_state
 from electrolum.ratemodel import analytic_gse
 from electrolum.spectrum import (
@@ -166,7 +166,6 @@ class TestWindows:
     def test_degenerate_centers_warn(self):
         # only coinciding centers warn: at eta 1e-3 they sit at 0.999, 1.0
         # and 1.001, far closer than any useful grid spacing, and still apart
-        from electrolum.hilbert import ModelSpace
         from electrolum.rabi import dressed_basis, hamiltonian
 
         space = ModelSpace(4)
